@@ -28,6 +28,14 @@
 //                        1 below it); JSON records "shard_gate_enforced"
 //   ANADEX_BENCH_QUICK   shrink batch/repeat budgets for the CI smoke run
 //
+// The corpus section times what real runs evaluate rather than uniform-
+// random genomes, which almost never pass the typical-corner (TT) screen
+// and so never reach Monte-Carlo robustness. It harvests the population of
+// a seeded MESACGA run at generations 0, 10, 50 and the final one, splits
+// it into TT-failing genomes (corner evaluation only) and TT-passing ones
+// (corners plus Monte-Carlo), and reports paired scalar-vs-SIMD evals/s
+// per class.
+//
 // The sharded section times a full island exploration executed by
 // shard::run_sharded at 1 worker shard vs 4 (thread mode, fsync off so the
 // ratio measures scale-out rather than disk flushes). The 4-shard run must
@@ -117,6 +125,52 @@ bool identical(const std::vector<moga::Evaluation>& a,
   }
   return true;
 }
+
+/// The two cost classes of a real run's evaluations: genomes that fail
+/// the TT screen, and genomes that pass it and take the Monte-Carlo path.
+struct Corpus {
+  std::vector<std::size_t> generations;  ///< harvested generations
+  std::vector<engine::Genome> tt_fail;
+  std::vector<engine::Genome> mc_path;
+};
+
+Corpus harvest_corpus(const problems::IntegratorProblem& problem, std::size_t generations) {
+  Corpus corpus;
+  moga::Population last;
+  std::size_t last_gen = 0;
+  const auto take = [&](std::size_t gen, const moga::Population& population) {
+    corpus.generations.push_back(gen);
+    for (const moga::Individual& member : population) {
+      const auto design = problems::IntegratorProblem::decode(member.genes);
+      const bool tt_pass = problem.spec().satisfied_by(problem.typical_performance(design));
+      (tt_pass ? corpus.mc_path : corpus.tt_fail).push_back(member.genes);
+    }
+  };
+  expt::RunSettings s;
+  s.algo = expt::Algo::MESACGA;
+  s.spec = problem.spec();
+  s.population = 100;
+  s.generations = generations;
+  s.seed = 1;
+  s.batch_eval = engine::BatchEval::Simd;
+  s.on_generation = [&](std::size_t gen, const moga::Population& population) {
+    if (gen == 0 || gen == 10 || gen == 50) take(gen, population);
+    last = population;
+    last_gen = gen;
+  };
+  expt::run(problem, s);
+  take(last_gen, last);
+  return corpus;
+}
+
+struct ClassRow {
+  const char* name = "";
+  std::size_t genomes = 0;
+  double scalar_evals_per_sec = 0.0;
+  double simd_evals_per_sec = 0.0;
+  double speedup = 0.0;
+  bool bit_identical = true;
+};
 
 struct Row {
   std::size_t requested = 0;
@@ -233,6 +287,42 @@ int main(int argc, char** argv) {
               simd_gate ? "ENFORCED" : "advisory",
               static_cast<unsigned long long>(simd_lane_groups),
               simd_identical ? "yes" : "NO", simd_ok ? "ok" : "FAIL");
+
+  // --- real-run corpus: scalar vs SIMD per cost class (1 thread) ---
+  // Same paired best-of-N protocol as above, one batch per class.
+  const Corpus corpus = harvest_corpus(problem, quick ? 60 : 100);
+  std::vector<ClassRow> class_rows;
+  const std::pair<const char*, const std::vector<engine::Genome>*> classes[] = {
+      {"tt_fail", &corpus.tt_fail}, {"mc_path", &corpus.mc_path}};
+  for (const auto& [name, members] : classes) {
+    ClassRow row;
+    row.name = name;
+    row.genomes = members->size();
+    if (row.genomes == 0) {
+      class_rows.push_back(row);
+      continue;
+    }
+    std::vector<moga::Evaluation> class_scalar(row.genomes);
+    std::vector<moga::Evaluation> class_simd(row.genomes);
+    for (std::size_t t = 0; t < simd_trials; ++t) {
+      const double p = timed_evals_per_sec(scalar_serial, *members, class_scalar, repeats);
+      const double v = timed_evals_per_sec(simd_serial, *members, class_simd, repeats);
+      row.scalar_evals_per_sec = std::max(row.scalar_evals_per_sec, p);
+      row.simd_evals_per_sec = std::max(row.simd_evals_per_sec, v);
+      row.speedup = std::max(row.speedup, v / p);
+    }
+    row.bit_identical = identical(class_simd, class_scalar);
+    class_rows.push_back(row);
+  }
+  std::printf("\nreal-run corpus (MESACGA seed 1, generations");
+  for (const std::size_t gen : corpus.generations) std::printf(" %zu", gen);
+  std::printf("), 1 thread:\n"
+              "  class     genomes  scalar e/s   SIMD e/s  speedup  bit-identical\n");
+  for (const ClassRow& row : class_rows) {
+    std::printf("  %-8s  %7zu  %10.0f  %9.0f  %6.2fx  %s\n", row.name, row.genomes,
+                row.scalar_evals_per_sec, row.simd_evals_per_sec, row.speedup,
+                row.bit_identical ? "yes" : "NO");
+  }
 
   // --- dedup cache vs duplicate rate (serial engine: isolates the cache) ---
   std::printf(
@@ -445,6 +535,22 @@ int main(int argc, char** argv) {
        << "  \"simd_bit_identical\": " << (simd_identical ? "true" : "false") << ",\n"
        << "  \"simd_gate_enforced\": " << (simd_gate ? "true" : "false") << ",\n"
        << "  \"simd_ok\": " << (simd_ok ? "true" : "false") << ",\n"
+       << "  \"corpus_generations\": [";
+  for (std::size_t i = 0; i < corpus.generations.size(); ++i) {
+    json << (i > 0 ? ", " : "") << corpus.generations[i];
+  }
+  json << "],\n"
+       << "  \"corpus\": [\n";
+  for (std::size_t i = 0; i < class_rows.size(); ++i) {
+    const ClassRow& row = class_rows[i];
+    json << "    {\"class\": \"" << row.name << "\", \"genomes\": " << row.genomes
+         << ", \"scalar_evals_per_sec\": " << row.scalar_evals_per_sec
+         << ", \"simd_evals_per_sec\": " << row.simd_evals_per_sec
+         << ", \"speedup\": " << row.speedup
+         << ", \"bit_identical\": " << (row.bit_identical ? "true" : "false") << "}"
+         << (i + 1 < class_rows.size() ? "," : "") << "\n";
+  }
+  json << "  ],\n"
        << "  \"cache_speedup_at_50\": " << cache_speedup_at_50 << ",\n"
        << "  \"cache_ok\": " << (cache_ok ? "true" : "false") << ",\n"
        << "  \"robust_overhead_ratio\": " << robust_ratio << ",\n"
@@ -465,6 +571,9 @@ int main(int argc, char** argv) {
   bool all_identical = simd_identical && shard_identical;
   for (const Row& row : rows) all_identical = all_identical && row.bit_identical;
   for (const CacheRow& row : cache_rows) {
+    all_identical = all_identical && row.bit_identical;
+  }
+  for (const ClassRow& row : class_rows) {
     all_identical = all_identical && row.bit_identical;
   }
   if (!all_identical) {

@@ -38,6 +38,7 @@ REQUIRED_BY_BENCH = {
         "simd_bit_identical",
         "simd_gate_enforced",
         "simd_ok",
+        "corpus",
         "shard_workers",
         "shard_solo_seconds",
         "shard_seconds",
@@ -64,8 +65,12 @@ REQUIRED_BY_BENCH = {
 SELF_CHECKS = {
     "eval_throughput": lambda d: all(
         row.get("bit_identical") is True
-        for row in d.get("results", []) + d.get("duplicate_rates", [])
+        for row in d.get("results", []) + d.get("duplicate_rates", []) + d.get("corpus", [])
     )
+    # The real-run corpus must hold both cost classes (TT-failing and
+    # Monte-Carlo path), or its per-class rows time nothing.
+    and {row.get("class") for row in d.get("corpus", []) if row.get("genomes", 0) > 0}
+    == {"tt_fail", "mc_path"}
     and d.get("cache_ok") is True
     and d.get("robust_ok") is True
     # The SIMD lane path must be bit-exact against the scalar oracle on

@@ -437,13 +437,13 @@ void EvalEngine::run_batch(std::span<const Item> items) const {
   }
 
   if (workers_.empty() || items.size() == 1) {
+    // `item_count_` stays 0: it is the workers' "a batch is published"
+    // flag, and a serial batch publishes nothing to them.
     items_ = items.data();
-    item_count_ = items.size();
     first_error_ = nullptr;
     first_error_index_ = std::numeric_limits<std::size_t>::max();
     run_serial(items);
     items_ = nullptr;
-    item_count_ = 0;
     const std::exception_ptr error = std::exchange(first_error_, nullptr);
     if (tracing) {
       trace_timing_ = false;
@@ -454,6 +454,11 @@ void EvalEngine::run_batch(std::span<const Item> items) const {
   }
 
   std::unique_lock<std::mutex> lock(mu_);
+  // The previous batch was retired (item_count_ = 0) in the same critical
+  // section that saw its last worker leave, and workers only join a
+  // published batch, so none can still be inside one here.
+  ANADEX_CHECK_INVARIANT(active_ == 0,
+                         "a batch is published only while every worker is idle");
   items_ = items.data();
   item_count_ = items.size();
   next_item_.store(0, std::memory_order_relaxed);
@@ -493,21 +498,28 @@ void EvalEngine::run_batch(std::span<const Item> items) const {
 void EvalEngine::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
+    std::size_t count = 0;
+    std::size_t width = 1;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_ready_.wait(lock, [&] { return stopping_ || batch_seq_ != seen; });
       if (stopping_) return;
+      // Snapshot the batch in the critical section that records `seen`. A
+      // worker that wakes only after batch `seen` was retired finds
+      // item_count_ == 0 and must not join: the claim cursor may already
+      // belong to the next batch, whose slots it would take and drop.
       seen = batch_seq_;
+      count = item_count_;
+      if (count == 0) continue;
+      width = lane_width_;
       ++active_;
     }
 
-    // Stable while this batch runs. Workers claim whole lane groups (width
-    // 1 = the classic per-item claim) so a LaneEvaluator sees contiguous,
-    // deterministic groups no matter which worker lands on them; results
-    // are still written by item index, keeping the bit-identity contract
-    // across thread counts and batch-eval modes.
-    const std::size_t count = item_count_;
-    const std::size_t width = lane_width_;
+    // Workers claim whole lane groups (width 1 = the classic per-item
+    // claim) so a LaneEvaluator sees contiguous, deterministic groups no
+    // matter which worker lands on them; results are still written by item
+    // index, keeping the bit-identity contract across thread counts and
+    // batch-eval modes.
     for (;;) {
       const std::size_t start = next_item_.fetch_add(width, std::memory_order_relaxed);
       if (start >= count) break;

@@ -254,8 +254,11 @@ class EvalEngine final : public Evaluator {
   // Batch hand-off state. The caller publishes a batch under `mu_` and
   // waits on `batch_done_`; workers claim items via the atomic cursor and
   // write results by index. `item_count_`/`items_` only change while every
-  // worker is idle (active_ == 0), so workers may read them lock-free
-  // during a batch.
+  // worker is idle (active_ == 0), `item_count_` only under `mu_`, and
+  // `item_count_ == 0` means no batch is published (a serial batch
+  // publishes none). A worker snapshots the batch and joins it (++active_)
+  // in one critical section, and only when item_count_ != 0, so a late
+  // wake-up can never join a retired batch.
   mutable std::mutex mu_;
   mutable std::condition_variable work_ready_;
   mutable std::condition_variable batch_done_;

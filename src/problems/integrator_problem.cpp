@@ -21,6 +21,25 @@ double violation(double amount) {
   return std::clamp(amount, 0.0, kViolationCap);
 }
 
+/// Lane robustness of designs[0, m) at the smallest compiled lane width
+/// V >= m (V <= W), padding the group with designs[0]. Called with V = W.
+template <std::size_t V, std::size_t W>
+void fitted_robustness(std::span<const device::Process> shifted,
+                       std::array<scint::IntegratorDesign, W>& designs, std::size_t m,
+                       const scint::IntegratorContext& context, const scint::Spec& spec,
+                       std::array<double, W>& rob) {
+  if constexpr (V > 4) {
+    if (m <= V / 2) {
+      fitted_robustness<V / 2>(shifted, designs, m, context, spec, rob);
+      return;
+    }
+  }
+  for (std::size_t k = m; k < V; ++k) designs[k] = designs[0];
+  yield::robustness_lanes<V>(shifted,
+                             std::span<const scint::IntegratorDesign, V>{designs.data(), V},
+                             context, spec, std::span<double, V>{rob.data(), V});
+}
+
 }  // namespace
 
 IntegratorProblem::IntegratorProblem(scint::Spec spec, scint::IntegratorContext context,
@@ -32,7 +51,8 @@ IntegratorProblem::IntegratorProblem(scint::Spec spec, scint::IntegratorContext 
                device::Process::typical().at_corner(device::Corner::SS),
                device::Process::typical().at_corner(device::Corner::FS),
                device::Process::typical().at_corner(device::Corner::SF)},
-      perturbations_(yield::draw_perturbations(mc)) {}
+      perturbations_(yield::draw_perturbations(mc)),
+      mc_processes_(yield::shifted_processes(corners_[0], perturbations_)) {}
 
 std::string IntegratorProblem::name() const { return "SCIntegrator[" + spec_.name + "]"; }
 
@@ -239,8 +259,25 @@ void IntegratorProblem::evaluate_lane_group(std::span<const std::span<const doub
     }
   }
 
+  // Monte-Carlo robustness of the TT-passing lanes, perturbation-major:
+  // compact them into one group, fitted to their count, and run one lane
+  // kernel call per shifted process. A pair-mismatch set has no shared
+  // shifted processes, so it falls back to the scalar form per lane.
+  std::array<scint::IntegratorDesign, W> passing;
+  std::array<double, W> passing_rob;
+  std::size_t m = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double rob = tt_pass[i] ? design_robustness(designs[i]) : 0.0;
+    if (tt_pass[i]) passing[m++] = designs[i];
+  }
+  if (m > 0 && !mc_processes_.empty()) {
+    fitted_robustness<W>(mc_processes_, passing, m, context_, spec_, passing_rob);
+  } else {
+    for (std::size_t k = 0; k < m; ++k) passing_rob[k] = design_robustness(passing[k]);
+  }
+
+  std::size_t next_passing = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double rob = tt_pass[i] ? passing_rob[next_passing++] : 0.0;
     moga::Evaluation& out = *outs[i];
     out.objectives = {power_tt[i], kLoadMax - designs[i].cload};
     out.violations = {

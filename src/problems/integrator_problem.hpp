@@ -10,6 +10,12 @@
 // worst-case across the five process corners): dynamic range, output range,
 // settling time, settling error, area, device operating regions, mirror
 // matching, and Monte-Carlo robustness (yield) at the typical corner.
+//
+// Robustness is only computed for designs that pass every deterministic
+// limit at the typical corner. evaluate() scores such a design with the
+// scalar yield::robustness(). The lane path scores all TT-passing lanes of
+// a group together with yield::robustness_lanes(), one lane kernel call per
+// perturbation, bit-identically.
 #pragma once
 
 #include <array>
@@ -35,9 +41,9 @@ inline constexpr double kLoadMax = 5e-12;
 
 class IntegratorProblem final : public moga::Problem, public engine::LaneEvaluator {
  public:
-  /// Builds the problem for one specification. The five corner processes
-  /// and the Monte-Carlo perturbation set are precomputed; evaluation is
-  /// deterministic.
+  /// Builds the problem for one specification. The five corner processes,
+  /// the Monte-Carlo perturbation set and its shifted processes are
+  /// precomputed; evaluation is deterministic.
   explicit IntegratorProblem(scint::Spec spec,
                              scint::IntegratorContext context = {},
                              yield::MonteCarloParams mc = {});
@@ -69,7 +75,8 @@ class IntegratorProblem final : public moga::Problem, public engine::LaneEvaluat
   /// Typical-corner performance of a design (for reporting / examples).
   scint::IntegratorPerformance typical_performance(const scint::IntegratorDesign& design) const;
 
-  /// Monte-Carlo robustness of a design against this problem's spec.
+  /// Monte-Carlo robustness of a design against this problem's spec (the
+  /// scalar form; the lane path computes the same value per lane group).
   double design_robustness(const scint::IntegratorDesign& design) const;
 
  private:
@@ -84,6 +91,9 @@ class IntegratorProblem final : public moga::Problem, public engine::LaneEvaluat
   scint::IntegratorContext context_;
   std::array<device::Process, 5> corners_;
   std::vector<yield::ProcessPerturbation> perturbations_;
+  /// yield::shifted_processes of the TT corner; empty when the set carries
+  /// pair-mismatch draws, and the lane path then scores robustness scalar.
+  std::vector<device::Process> mc_processes_;
 };
 
 /// Convenience factory.

@@ -1,9 +1,11 @@
 #include "yield/robustness.hpp"
 
 #include "common/check.hpp"
+#include <array>
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "scint/batch_integrator.hpp"
 
 namespace anadex::yield {
 
@@ -57,7 +59,7 @@ double robustness(const device::Process& base, const scint::IntegratorDesign& de
     // mismatch into the NMOS threshold and the mirror pair's into the PMOS
     // threshold — a conservative single-ended view of the differential
     // circuit.
-    if (sample.z_pair_input != 0.0 || sample.z_pair_mirror != 0.0) {
+    if (sample.design_dependent()) {
       shifted.nmos.vt0 +=
           sample.pair_vt_mismatch(shifted, design.opamp.m1, sample.z_pair_input);
       shifted.pmos.vt0 +=
@@ -68,5 +70,48 @@ double robustness(const device::Process& base, const scint::IntegratorDesign& de
   }
   return static_cast<double>(pass) / static_cast<double>(perturbations.size());
 }
+
+std::vector<device::Process> shifted_processes(
+    const device::Process& base, const std::vector<ProcessPerturbation>& perturbations) {
+  std::vector<device::Process> shifted;
+  for (const auto& sample : perturbations) {
+    if (sample.design_dependent()) return {};
+    shifted.push_back(sample.applied_to(base));
+  }
+  return shifted;
+}
+
+template <std::size_t W>
+void robustness_lanes(std::span<const device::Process> shifted,
+                      std::span<const scint::IntegratorDesign, W> designs,
+                      const scint::IntegratorContext& context, const scint::Spec& spec,
+                      std::span<double, W> out) {
+  ANADEX_REQUIRE(!shifted.empty(), "robustness needs a non-empty perturbation set");
+  std::array<std::size_t, W> pass{};
+  std::array<scint::IntegratorPerformance, W> perfs;
+  for (const device::Process& process : shifted) {
+    scint::evaluate_lanes<W>(process, designs, context,
+                             std::span<scint::IntegratorPerformance, W>{perfs});
+    for (std::size_t k = 0; k < W; ++k) {
+      if (spec.satisfied_by(perfs[k])) ++pass[k];
+    }
+  }
+  for (std::size_t k = 0; k < W; ++k) {
+    out[k] = static_cast<double>(pass[k]) / static_cast<double>(shifted.size());
+  }
+}
+
+template void robustness_lanes<4>(std::span<const device::Process>,
+                                  std::span<const scint::IntegratorDesign, 4>,
+                                  const scint::IntegratorContext&, const scint::Spec&,
+                                  std::span<double, 4>);
+template void robustness_lanes<8>(std::span<const device::Process>,
+                                  std::span<const scint::IntegratorDesign, 8>,
+                                  const scint::IntegratorContext&, const scint::Spec&,
+                                  std::span<double, 8>);
+template void robustness_lanes<16>(std::span<const device::Process>,
+                                   std::span<const scint::IntegratorDesign, 16>,
+                                   const scint::IntegratorContext&, const scint::Spec&,
+                                   std::span<double, 16>);
 
 }  // namespace anadex::yield

@@ -7,9 +7,19 @@
 // density) with common random numbers: the SAME perturbation set is applied
 // to every design, so the robustness landscape is deterministic and smooth
 // for the optimizer.
+//
+// Two forms compute the same number. robustness() is the scalar oracle: one
+// scint::evaluate() per perturbation for one design. robustness_lanes<W>()
+// is the batch form: W designs at once, perturbation-major — one
+// scint::evaluate_lanes<W>() call per shifted process, passes counted per
+// lane — and bit-identical to the scalar form lane by lane. The lane form
+// needs a design-independent perturbation set (no pair-mismatch draws);
+// shifted_processes() builds its processes once per set.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "device/process.hpp"
@@ -36,6 +46,10 @@ struct ProcessPerturbation {
 
   /// Applies the global perturbation to a copy of the process.
   device::Process applied_to(const device::Process& base) const;
+
+  /// True when robustness() folds pair-mismatch draws into this sample's
+  /// process, which then depends on the design's pair geometry.
+  bool design_dependent() const { return z_pair_input != 0.0 || z_pair_mirror != 0.0; }
 
   /// Pelgrom threshold mismatch (V) of a pair with gate geometry `geom`:
   /// sigma = AVT / sqrt(W L), scaled by the stored unit-normal draw.
@@ -68,5 +82,37 @@ std::vector<ProcessPerturbation> draw_perturbations(const MonteCarloParams& para
 double robustness(const device::Process& base, const scint::IntegratorDesign& design,
                   const scint::IntegratorContext& context, const scint::Spec& spec,
                   const std::vector<ProcessPerturbation>& perturbations);
+
+/// The shifted process of every sample, `perturbations[k].applied_to(base)`.
+/// Empty when any sample is design_dependent(): such a set has no process
+/// shared by all designs, so only the scalar robustness() can score it.
+std::vector<device::Process> shifted_processes(
+    const device::Process& base, const std::vector<ProcessPerturbation>& perturbations);
+
+/// robustness() of W designs at once. `shifted` must be the non-empty
+/// shifted_processes(base, perturbations). Each shifted process takes one
+/// scint::evaluate_lanes<W>() call; out[k] is bit-identical to
+/// robustness(base, designs[k], context, spec, perturbations), because every
+/// lane's performance is bit-identical to scint::evaluate() and the pass
+/// count becomes a ratio by the same expression. Instantiated for the lane
+/// widths 4, 8 and 16.
+template <std::size_t W>
+void robustness_lanes(std::span<const device::Process> shifted,
+                      std::span<const scint::IntegratorDesign, W> designs,
+                      const scint::IntegratorContext& context, const scint::Spec& spec,
+                      std::span<double, W> out);
+
+extern template void robustness_lanes<4>(std::span<const device::Process>,
+                                         std::span<const scint::IntegratorDesign, 4>,
+                                         const scint::IntegratorContext&, const scint::Spec&,
+                                         std::span<double, 4>);
+extern template void robustness_lanes<8>(std::span<const device::Process>,
+                                         std::span<const scint::IntegratorDesign, 8>,
+                                         const scint::IntegratorContext&, const scint::Spec&,
+                                         std::span<double, 8>);
+extern template void robustness_lanes<16>(std::span<const device::Process>,
+                                          std::span<const scint::IntegratorDesign, 16>,
+                                          const scint::IntegratorContext&, const scint::Spec&,
+                                          std::span<double, 16>);
 
 }  // namespace anadex::yield

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -198,6 +199,37 @@ TEST(EvalEngine, GuardedProblemFaultAccountingIsThreadCountInvariant) {
   EXPECT_EQ(reports[0].penalized, reports[1].penalized);
   EXPECT_EQ(reports[0].failure_genes, reports[1].failure_genes);
   EXPECT_EQ(reports[0].failure_message, reports[1].failure_message);
+}
+
+TEST(EvalEngine, ThousandsOfTinyBatchesLoseNoSlot) {
+  // Regression for the lost-slot race: a worker that woke late for an
+  // already retired batch used to join it after the caller had published
+  // the next one, claim that batch's first slots and drop them, leaving the
+  // caller waiting forever. Back-to-back tiny batches on a pool wider than
+  // the batches make late wake-ups common. Each batch draws a different
+  // window of genomes, so a stale or unwritten slot cannot pass the check.
+  const auto problem = problems::make_kur();
+  const auto genomes = make_genomes(*problem, 16);
+  std::vector<moga::Evaluation> reference(genomes.size());
+  for (std::size_t i = 0; i < genomes.size(); ++i) {
+    reference[i] = problem->evaluated(genomes[i]);
+  }
+
+  const EvalEngine eval(*problem, 8);
+  const std::span<const Genome> pool(genomes);
+  std::vector<moga::Evaluation> out;
+  for (std::size_t batch = 0; batch < 6000; ++batch) {
+    const std::size_t size = 1 + batch % 3;
+    const std::size_t first = (batch * 5) % (genomes.size() - size + 1);
+    out.assign(size, moga::Evaluation{});
+    eval.evaluate_batch(pool.subspan(first, size), out);
+    for (std::size_t i = 0; i < size; ++i) {
+      ASSERT_EQ(out[i].objectives, reference[first + i].objectives)
+          << "batch " << batch << " slot " << i;
+      ASSERT_EQ(out[i].violations, reference[first + i].violations)
+          << "batch " << batch << " slot " << i;
+    }
+  }
 }
 
 }  // namespace

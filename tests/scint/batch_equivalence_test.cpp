@@ -4,14 +4,17 @@
 // for every spec in the paper's suite, every compiled lane width, ragged
 // remainder groups, and hostile (NaN / out-of-range) genomes. The engine's
 // cross-mode checkpoint byte-identity rests on this property.
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "expt/runner.hpp"
 #include "moga/individual.hpp"
 #include "problems/integrator_problem.hpp"
 #include "problems/spec_suite.hpp"
@@ -173,6 +176,136 @@ TEST(BatchEquivalence, HostileGenomesMatchScalarPath) {
   // without one lane contaminating another.
   ASSERT_GE(evaluable.size(), 8u);
   check_equivalence(problem, evaluable, 8, "hostile evaluable");
+}
+
+bool passes_tt(const IntegratorProblem& problem, std::span<const double> genes) {
+  return problem.spec().satisfied_by(
+      problem.typical_performance(IntegratorProblem::decode(genes)));
+}
+
+/// Genomes on both sides of the typical-corner (TT) screen. Uniform-random
+/// genomes almost never pass it, so they never reach Monte-Carlo; the
+/// passers are harvested in-process from a short seeded MESACGA run on
+/// the paper's chosen spec, every distinct TT-passing population member.
+struct ScreenedCorpus {
+  std::vector<std::vector<double>> passing;
+  std::vector<std::vector<double>> failing;
+};
+
+const ScreenedCorpus& screened_corpus() {
+  static const ScreenedCorpus corpus = [] {
+    const IntegratorProblem problem(problems::chosen_spec());
+    ScreenedCorpus c;
+    std::set<std::vector<double>> seen;
+    expt::RunSettings s;
+    s.algo = expt::Algo::MESACGA;
+    s.spec = problems::chosen_spec();
+    s.population = 32;
+    s.generations = 30;
+    s.partitions = 4;
+    s.mesacga_schedule = {4, 2, 1};
+    s.phase1_cap = 10;
+    s.seed = 9;
+    s.on_generation = [&](std::size_t, const moga::Population& population) {
+      for (const moga::Individual& member : population) {
+        if (passes_tt(problem, member.genes) && seen.insert(member.genes).second) {
+          c.passing.push_back(member.genes);
+        }
+      }
+    };
+    expt::run(problem, s);
+    for (auto& genes : random_genomes(problem, 64, 31)) {
+      if (!passes_tt(problem, genes)) c.failing.push_back(std::move(genes));
+    }
+    return c;
+  }();
+  return corpus;
+}
+
+using Group = std::vector<std::vector<double>>;
+
+/// Groups of every size 1..16 that mix TT passers and failers: for each
+/// position, one group where only that lane passes and one where only it
+/// fails, plus both alternating patterns and an all-passing group. The
+/// passing count m fixes the fitted Monte-Carlo lane width V (the smallest
+/// of 4, 8, 16 that holds m), so every (group width, V) pair runs;
+/// `by_width` counts the groups per V.
+std::vector<Group> mixed_groups(const ScreenedCorpus& corpus,
+                                std::array<std::size_t, 3>& by_width) {
+  std::vector<Group> groups;
+  std::size_t next_pass = 0;
+  std::size_t next_fail = 0;
+  const auto add = [&](std::size_t size, auto&& passes) {
+    Group group;
+    std::size_t m = 0;
+    for (std::size_t i = 0; i < size; ++i) {
+      if (passes(i)) {
+        group.push_back(corpus.passing[next_pass++ % corpus.passing.size()]);
+        ++m;
+      } else {
+        group.push_back(corpus.failing[next_fail++ % corpus.failing.size()]);
+      }
+    }
+    if (m > 0) ++by_width[m <= 4 ? 0 : m <= 8 ? 1 : 2];
+    groups.push_back(std::move(group));
+  };
+  for (std::size_t size = 1; size <= 16; ++size) {
+    for (std::size_t p = 0; p < size; ++p) {
+      add(size, [p](std::size_t i) { return i == p; });
+      add(size, [p](std::size_t i) { return i != p; });
+    }
+    add(size, [](std::size_t i) { return i % 2 == 0; });
+    add(size, [](std::size_t i) { return i % 2 == 1; });
+    add(size, [](std::size_t) { return true; });
+  }
+  return groups;
+}
+
+/// Each group through evaluate_lanes as ONE call, against scalar
+/// evaluate() per genome.
+void check_groups(const IntegratorProblem& problem, const std::vector<Group>& groups,
+                  const std::string& label) {
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    check_equivalence(problem, groups[g], groups[g].size(),
+                      label + " group " + std::to_string(g));
+  }
+}
+
+TEST(BatchEquivalence, MonteCarloLanePathAtEveryFittedWidth) {
+  const IntegratorProblem problem(problems::chosen_spec());
+  const ScreenedCorpus& corpus = screened_corpus();
+  // The corpus must really hold TT passers (and failers), and their
+  // robustness must vary: the robustness violation only sees the MC
+  // result while it is below the spec's robustness limit.
+  ASSERT_GE(corpus.passing.size(), 16u);
+  ASSERT_GE(corpus.failing.size(), 16u);
+  std::set<double> robustness_violations;
+  for (const auto& genes : corpus.passing) {
+    robustness_violations.insert(problem.evaluated(genes).violations[8]);
+  }
+  EXPECT_GE(robustness_violations.size(), 3u);
+
+  std::array<std::size_t, 3> by_width{};
+  const auto groups = mixed_groups(corpus, by_width);
+  for (const std::size_t count : by_width) EXPECT_GT(count, 0u);
+  check_groups(problem, groups, "mixed");
+}
+
+TEST(BatchEquivalence, PairMismatchFallsBackToScalarRobustness) {
+  // Pair-mismatch draws make each sample's process depend on the design,
+  // so the lane path scores these lanes with scalar yield::robustness.
+  yield::MonteCarloParams mc;
+  mc.include_pair_mismatch = true;
+  const IntegratorProblem problem(problems::chosen_spec(), scint::IntegratorContext{}, mc);
+  ASSERT_TRUE(yield::shifted_processes(device::Process::typical(),
+                                       yield::draw_perturbations(mc))
+                  .empty());
+  std::array<std::size_t, 3> by_width{};
+  auto groups = mixed_groups(screened_corpus(), by_width);
+  // Every eighth group keeps the case quick and still spans all sizes.
+  std::vector<Group> sample;
+  for (std::size_t g = 0; g < groups.size(); g += 8) sample.push_back(std::move(groups[g]));
+  check_groups(problem, sample, "pair mismatch");
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include "yield/robustness.hpp"
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -162,6 +166,63 @@ TEST(PairMismatch, MismatchNeverImprovesRobustness) {
   const double base_rob = robustness(kProc, design, ctx, tight, base_set);
   const double mm_rob = robustness(kProc, design, ctx, tight, mm_set);
   EXPECT_LE(mm_rob, base_rob + 0.26);  // extra variation can only hurt (noise slack)
+}
+
+TEST(ShiftedProcesses, EmptyWhenPairMismatchIsSampled) {
+  MonteCarloParams params;
+  params.include_pair_mismatch = true;
+  EXPECT_TRUE(shifted_processes(kProc, draw_perturbations(params)).empty());
+}
+
+/// W variants of the reference design whose robustness against a spec at
+/// its dynamic-range margin spreads over several sample counts.
+template <std::size_t W>
+std::array<scint::IntegratorDesign, W> robustness_spread() {
+  std::array<scint::IntegratorDesign, W> designs;
+  for (std::size_t k = 0; k < W; ++k) {
+    designs[k] = testing_support::reference_design();
+    designs[k].opamp.ibias *= 0.9 + 0.015 * static_cast<double>(k);
+    designs[k].cload *= 0.8;
+  }
+  return designs;
+}
+
+template <std::size_t W>
+void expect_lanes_match_scalar() {
+  const auto set = draw_perturbations(MonteCarloParams{});
+  const auto shifted = shifted_processes(kProc, set);
+  const scint::IntegratorContext ctx;
+  scint::Spec spec;
+  spec.dr_min_db = 96.05;  // at the reference design's margin
+  const auto designs = robustness_spread<W>();
+
+  std::array<double, W> lanes{};
+  robustness_lanes<W>(shifted, std::span<const scint::IntegratorDesign, W>{designs}, ctx, spec,
+                      std::span<double, W>{lanes});
+  std::set<double> distinct;
+  for (std::size_t k = 0; k < W; ++k) {
+    const double scalar = robustness(kProc, designs[k], ctx, spec, set);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(lanes[k]), std::bit_cast<std::uint64_t>(scalar))
+        << "W=" << W << " lane " << k << ": " << lanes[k] << " vs " << scalar;
+    distinct.insert(scalar);
+  }
+  // The check is only as strong as the spread of values it compares.
+  EXPECT_GE(distinct.size(), W >= 8 ? 3u : 2u) << "W=" << W;
+}
+
+TEST(RobustnessLanes, BitIdenticalToScalarAtEveryLaneWidth) {
+  expect_lanes_match_scalar<4>();
+  expect_lanes_match_scalar<8>();
+  expect_lanes_match_scalar<16>();
+}
+
+TEST(RobustnessLanes, EmptyProcessSetRejected) {
+  const auto designs = robustness_spread<4>();
+  std::array<double, 4> out{};
+  EXPECT_THROW(robustness_lanes<4>({}, std::span<const scint::IntegratorDesign, 4>{designs},
+                                   scint::IntegratorContext{}, scint::Spec{},
+                                   std::span<double, 4>{out}),
+               PreconditionError);
 }
 
 }  // namespace
