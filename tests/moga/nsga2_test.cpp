@@ -177,6 +177,11 @@ struct SuiteCase {
   double gd_limit;
 };
 
+// Print a case as its problem name. The default byte dump would show the
+// address of `name`, which moves from build to build, and the test names
+// derived from the printed parameter would move with it.
+void PrintTo(const SuiteCase& c, std::ostream* os) { *os << c.name; }
+
 class Nsga2Suite : public ::testing::TestWithParam<SuiteCase> {};
 
 TEST_P(Nsga2Suite, FrontIsMutuallyNondominated) {
