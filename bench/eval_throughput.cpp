@@ -18,6 +18,9 @@
 // every build; the >= 4x single-thread speedup gate applies only under
 // --simd-gate, which CI's native-ISA bench job passes (a generic
 // -march=x86-64 build has no business being held to an AVX-class ratio).
+// The lane kernels run the instruction-set copy circuit::lane_isa() picks
+// at run time; the section prints it and the JSON records it as
+// "lane_isa" ("x86-64-v4" or "baseline").
 //
 // Flags / environment:
 //   --duplicate-rate R   run the cache section at the single rate R (0..1)
@@ -56,6 +59,7 @@
 #include <utility>
 #include <vector>
 
+#include "circuit/batch_opamp.hpp"
 #include "common/cancel.hpp"
 #include "common/rng.hpp"
 #include "engine/eval_engine.hpp"
@@ -281,9 +285,10 @@ int main(int argc, char** argv) {
   const std::uint64_t simd_lane_groups = simd_serial.lane_groups();
   const bool simd_ok = simd_identical && simd_lane_groups > 0 &&
                        (!simd_gate || simd_speedup >= 4.0);
-  std::printf("\nscalar vs SIMD (1 thread, lane width %zu): %.0f -> %.0f evals/sec "
-              "(%.2fx, gate >= 4x %s, lane groups %llu, bit-identical %s) -> %s\n",
-              lane_width, scalar_eps, simd_eps, simd_speedup,
+  const char* const lane_isa = circuit::lane_isa_name(circuit::lane_isa());
+  std::printf("\nscalar vs SIMD (1 thread, lane width %zu, lane ISA %s): %.0f -> %.0f "
+              "evals/sec (%.2fx, gate >= 4x %s, lane groups %llu, bit-identical %s) -> %s\n",
+              lane_width, lane_isa, scalar_eps, simd_eps, simd_speedup,
               simd_gate ? "ENFORCED" : "advisory",
               static_cast<unsigned long long>(simd_lane_groups),
               simd_identical ? "yes" : "NO", simd_ok ? "ok" : "FAIL");
@@ -527,6 +532,7 @@ int main(int argc, char** argv) {
          << (i + 1 < cache_rows.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
+       << "  \"lane_isa\": \"" << lane_isa << "\",\n"
        << "  \"simd_lane_width\": " << lane_width << ",\n"
        << "  \"simd_scalar_evals_per_sec\": " << scalar_eps << ",\n"
        << "  \"simd_evals_per_sec\": " << simd_eps << ",\n"

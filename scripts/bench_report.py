@@ -33,6 +33,7 @@ REQUIRED_BY_BENCH = {
         "cache_ok",
         "robust_overhead_ratio",
         "robust_ok",
+        "lane_isa",
         "simd_speedup",
         "simd_lane_groups",
         "simd_bit_identical",
@@ -79,6 +80,8 @@ SELF_CHECKS = {
     # run was gated (--simd-gate, the CI native-ISA bench job).
     and d.get("simd_bit_identical") is True
     and d.get("simd_lane_groups", 0) > 0
+    # The lane-kernel copy the run dispatched to (circuit::lane_isa()).
+    and d.get("lane_isa") in ("x86-64-v4", "baseline")
     and d.get("simd_ok") is True
     # Sharded scale-out must reproduce the 1-shard bytes on every run; the
     # >= 2x speedup itself is folded into shard_ok by the binary when the

@@ -3,13 +3,14 @@
 // These are op-for-op transliterations of the scalar routines in mosfet.cpp
 // into select form (branches become ternaries), laid out as plain loops
 // over W-sized arrays so the autovectorizer can spread lanes across SIMD
-// registers under -O3 (-march=native in the CI simd/bench jobs). Every
-// floating-point expression tree is copied from the scalar code verbatim:
-// with -ffp-contract=off (set globally) and IEEE-754 basic operations
-// (+,-,*,/,sqrt,min,max are correctly rounded whether issued scalar or
-// packed), the lane results are BIT-IDENTICAL to the scalar oracle. The
-// golden-equivalence suite (tests/scint/batch_equivalence_test.cpp)
-// enforces this for every spec set, width and random genome.
+// registers under -O3 (on x86-64 also in an x86-64-v4 copy picked at run
+// time; circuit/batch_opamp.hpp). Every floating-point expression tree is
+// copied from the scalar code verbatim: with -ffp-contract=off (set
+// globally) and IEEE-754 basic operations (+,-,*,/,sqrt,min,max are
+// correctly rounded whether issued scalar or packed), the lane results are
+// BIT-IDENTICAL to the scalar oracle. The golden-equivalence suite
+// (tests/scint/batch_equivalence_test.cpp) enforces this for every spec
+// set, width, random genome and instruction-set copy.
 //
 // Preconditions are the caller's job: the batch layer pre-screens genomes
 // (positive geometry / bias current, see IntegratorProblem::evaluate_lanes)
@@ -41,7 +42,19 @@
 #define ANADEX_LANE_SIMD ANADEX_PRAGMA_(omp simd)
 #define ANADEX_LANE_SIMD_REDUCE(var) ANADEX_PRAGMA_(omp simd reduction(+ : var))
 
+// The kernels are compiled once per instruction-set copy (the baseline and,
+// on x86-64, an -march=x86-64-v4 copy; circuit/batch_opamp_kernel.hpp). A
+// template or inline function is a weak symbol, so two copies under one
+// name would let the linker keep either copy for both callers: AVX-512
+// code on a CPU without it, or no AVX-512 at all. Each copy therefore
+// lives in its own inline namespace, named by the including translation
+// unit through ANADEX_LANE_ISA.
+#ifndef ANADEX_LANE_ISA
+#define ANADEX_LANE_ISA isa_base
+#endif
+
 namespace anadex::device {
+inline namespace ANADEX_LANE_ISA {
 
 /// SoA operating points for W lanes (mirror of device::OperatingPoint).
 /// `region` holds the Region enum value per lane.
@@ -165,14 +178,16 @@ inline decltype(auto) dispatch_n_exp(const DeviceParams& p, F&& f) {
   return f(std::integral_constant<int, 0>{});
 }
 
-}  // namespace lanes_detail
-
-namespace lanes_detail {
-
+// The three lane loops below are kept out of line: each (W, NExp) kernel
+// then exists once per copy instead of once per call site in
+// circuit::analyze_lanes. Fully unrolled AVX-512 code is large; inlined at
+// every call site it grew the x86-64-v4 object from 125 to 180 kB, and a
+// run's resident memory with it, for no measurable speed.
 template <std::size_t W, int NExp>
-inline void drain_current_lanes_impl(const DeviceParams& p, const double* w, const double* l,
-                                     const double* vgs, const double* vds, const double* vsb,
-                                     double* id_out) {
+[[gnu::noinline]] inline void drain_current_lanes_impl(const DeviceParams& p, const double* w,
+                                                       const double* l, const double* vgs,
+                                                       const double* vds, const double* vsb,
+                                                       double* id_out) {
   ANADEX_LANE_SIMD
   for (std::size_t k = 0; k < W; ++k) {
     const double vt = lane_threshold(p, vsb[k]);
@@ -181,9 +196,10 @@ inline void drain_current_lanes_impl(const DeviceParams& p, const double* w, con
 }
 
 template <std::size_t W, int NExp>
-inline void solve_op_lanes_impl(const DeviceParams& p, const double* w, const double* l,
-                                const double* vgs, const double* vds, const double* vsb,
-                                OpLanes<W>& out) {
+[[gnu::noinline]] inline void solve_op_lanes_impl(const DeviceParams& p, const double* w,
+                                                  const double* l, const double* vgs,
+                                                  const double* vds, const double* vsb,
+                                                  OpLanes<W>& out) {
   ANADEX_LANE_SIMD
   for (std::size_t k = 0; k < W; ++k) {
     const double vt = lane_threshold(p, vsb[k]);
@@ -228,9 +244,11 @@ inline void solve_op_lanes_impl(const DeviceParams& p, const double* w, const do
 }
 
 template <std::size_t W, int NExp>
-inline void vgs_for_current_lanes_impl(const DeviceParams& p, const double* w, const double* l,
-                                       const double* id, const double* vds, const double* vsb,
-                                       double vgs_max, double* out) {
+[[gnu::noinline]] inline void vgs_for_current_lanes_impl(const DeviceParams& p,
+                                                         const double* w, const double* l,
+                                                         const double* id, const double* vds,
+                                                         const double* vsb, double vgs_max,
+                                                         double* out) {
   double vt[W], lo[W], hi[W], vgs[W];
   double done[W];  // 0.0 = iterating, 1.0 = frozen (double so the masked
                    // commits below are pure FP selects — bool arrays force
@@ -327,4 +345,5 @@ inline void vgs_for_current_lanes(const DeviceParams& p, const double* w, const 
   });
 }
 
+}  // namespace ANADEX_LANE_ISA
 }  // namespace anadex::device

@@ -24,17 +24,26 @@ std::size_t FaultInjectingProblem::num_objectives() const { return inner_->num_o
 std::size_t FaultInjectingProblem::num_constraints() const { return inner_->num_constraints(); }
 std::vector<moga::VariableBound> FaultInjectingProblem::bounds() const { return inner_->bounds(); }
 
+FaultInjectionCounters FaultInjectingProblem::counters() const {
+  FaultInjectionCounters c;
+  c.evaluations = counters_.evaluations.load(std::memory_order_relaxed);
+  c.exceptions = counters_.exceptions.load(std::memory_order_relaxed);
+  c.nans = counters_.nans.load(std::memory_order_relaxed);
+  c.slow = counters_.slow.load(std::memory_order_relaxed);
+  return c;
+}
+
 void FaultInjectingProblem::evaluate(std::span<const double> genes, moga::Evaluation& out) const {
-  ++counters_.evaluations;
+  counters_.evaluations.fetch_add(1, std::memory_order_relaxed);
   Rng rng(hash_genes(genes, config_.seed));
 
   if (rng.bernoulli(config_.exception_rate)) {
-    ++counters_.exceptions;
+    counters_.exceptions.fetch_add(1, std::memory_order_relaxed);
     throw InjectedFault("injected evaluator failure");
   }
 
   if (rng.bernoulli(config_.slow_rate)) {
-    ++counters_.slow;
+    counters_.slow.fetch_add(1, std::memory_order_relaxed);
     // Busy-spin standing in for a simulator that converges slowly. volatile
     // keeps the loop from being optimized away. The spin polls the
     // cancellation token every 1024 iterations — the cooperative contract a
@@ -52,7 +61,7 @@ void FaultInjectingProblem::evaluate(std::span<const double> genes, moga::Evalua
   inner_->evaluate(genes, out);
 
   if (!out.objectives.empty() && rng.bernoulli(config_.nan_rate)) {
-    ++counters_.nans;
+    counters_.nans.fetch_add(1, std::memory_order_relaxed);
     const std::size_t slot = rng.uniform_index(out.objectives.size());
     out.objectives[slot] = std::numeric_limits<double>::quiet_NaN();
   }

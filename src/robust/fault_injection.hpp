@@ -2,6 +2,7 @@
 // guard layer and the evolvers' tolerance to misbehaving evaluators.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -58,9 +59,10 @@ class FaultInjectingProblem final : public moga::Problem {
 
   const FaultInjectionConfig& config() const { return config_; }
 
-  /// Injection totals so far. Mutable across const evaluate() calls.
-  const FaultInjectionCounters& counters() const { return counters_; }
-  void reset_counters() { counters_ = {}; }
+  /// Snapshot of the injection totals so far. evaluate() may run on
+  /// several engine workers at once, so the totals are relaxed atomics;
+  /// read them once the evaluations of interest have returned.
+  FaultInjectionCounters counters() const;
 
   /// Makes the slow-eval spin cooperative: when `token` (non-owning,
   /// nullptr detaches) is raised mid-spin, evaluate() throws
@@ -73,7 +75,13 @@ class FaultInjectingProblem final : public moga::Problem {
   std::shared_ptr<const moga::Problem> inner_;
   FaultInjectionConfig config_;
   const CancelToken* cancel_ = nullptr;
-  mutable FaultInjectionCounters counters_;
+  struct AtomicCounters {
+    std::atomic<std::size_t> evaluations{0};
+    std::atomic<std::size_t> exceptions{0};
+    std::atomic<std::size_t> nans{0};
+    std::atomic<std::size_t> slow{0};
+  };
+  mutable AtomicCounters counters_;
 };
 
 }  // namespace anadex::robust

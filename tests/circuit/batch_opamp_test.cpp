@@ -1,14 +1,16 @@
 // analyze_lanes<W> vs scalar analyze(): the SoA opamp kernels must emit
-// bit-identical analyses for every compiled lane width. Field-by-field
-// bit comparison (not EXPECT_DOUBLE_EQ) because checkpoint byte-identity
-// between --batch-eval modes rides on exact doubles.
+// bit-identical analyses for every compiled lane width, through the
+// dispatcher and through each instruction-set copy of the kernels.
+// Field-by-field bit comparison (not EXPECT_DOUBLE_EQ) because checkpoint
+// byte-identity between --batch-eval modes rides on exact doubles.
 #include <array>
-#include <bit>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../support/lane_isa.hpp"
 #include "circuit/batch_opamp.hpp"
 #include "circuit/opamp.hpp"
 #include "common/rng.hpp"
@@ -38,55 +40,47 @@ std::vector<OpAmpDesign> random_designs(std::size_t count, std::uint64_t seed) {
   return designs;
 }
 
-void expect_bits(double lanes, double scalar, const char* field, std::size_t lane) {
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(lanes), std::bit_cast<std::uint64_t>(scalar))
-      << field << " lane " << lane << ": " << lanes << " vs " << scalar;
-}
+using testing_support::expect_analysis_equal;
 
-void expect_analysis_equal(const OpAmpAnalysis& lanes, const OpAmpAnalysis& scalar,
-                           std::size_t lane) {
-  expect_bits(lanes.i5, scalar.i5, "i5", lane);
-  expect_bits(lanes.i7, scalar.i7, "i7", lane);
-  expect_bits(lanes.vgs_ref, scalar.vgs_ref, "vgs_ref", lane);
-  expect_bits(lanes.gm1, scalar.gm1, "gm1", lane);
-  expect_bits(lanes.gm3, scalar.gm3, "gm3", lane);
-  expect_bits(lanes.gm6, scalar.gm6, "gm6", lane);
-  expect_bits(lanes.a1, scalar.a1, "a1", lane);
-  expect_bits(lanes.a2, scalar.a2, "a2", lane);
-  expect_bits(lanes.a0, scalar.a0, "a0", lane);
-  expect_bits(lanes.cc_eff, scalar.cc_eff, "cc_eff", lane);
-  expect_bits(lanes.c_first, scalar.c_first, "c_first", lane);
-  expect_bits(lanes.c_out_self, scalar.c_out_self, "c_out_self", lane);
-  expect_bits(lanes.c_mirror, scalar.c_mirror, "c_mirror", lane);
-  expect_bits(lanes.c_in, scalar.c_in, "c_in", lane);
-  expect_bits(lanes.mirror_pole, scalar.mirror_pole, "mirror_pole", lane);
-  expect_bits(lanes.slew_internal, scalar.slew_internal, "slew_internal", lane);
-  expect_bits(lanes.swing, scalar.swing, "swing", lane);
-  expect_bits(lanes.noise_psd, scalar.noise_psd, "noise_psd", lane);
-  expect_bits(lanes.power, scalar.power, "power", lane);
-  expect_bits(lanes.area, scalar.area, "area", lane);
-  expect_bits(lanes.mirror_balance_error, scalar.mirror_balance_error,
-              "mirror_balance_error", lane);
-  expect_bits(lanes.vov_worst, scalar.vov_worst, "vov_worst", lane);
-  expect_bits(lanes.margins.m1, scalar.margins.m1, "margins.m1", lane);
-  expect_bits(lanes.margins.m5, scalar.margins.m5, "margins.m5", lane);
-  expect_bits(lanes.margins.m6, scalar.margins.m6, "margins.m6", lane);
-  expect_bits(lanes.margins.m7, scalar.margins.m7, "margins.m7", lane);
-  expect_bits(lanes.margins.mref, scalar.margins.mref, "margins.mref", lane);
+/// W lanes through copy `isa` of the kernels, or through the dispatching
+/// analyze_lanes<W> when `isa` is empty.
+template <std::size_t W>
+std::array<OpAmpAnalysis, W> run_lanes(std::optional<LaneIsa> isa,
+                                       const device::Process& process,
+                                       const std::vector<OpAmpDesign>& designs,
+                                       const OpAmpContext& context) {
+  std::array<OpAmpAnalysis, W> lanes;
+  const std::span<const OpAmpDesign, W> in(designs.data(), W);
+  if (isa) {
+    testing_support::analyze_lanes_on<W>(*isa, process, in, context,
+                                         std::span<OpAmpAnalysis, W>(lanes));
+  } else {
+    analyze_lanes<W>(process, in, context, std::span<OpAmpAnalysis, W>(lanes));
+  }
+  return lanes;
 }
 
 template <std::size_t W>
-void check_width(std::uint64_t seed) {
+void check_width(std::uint64_t seed, std::optional<LaneIsa> isa = std::nullopt) {
   const auto designs = random_designs(W, seed);
   const OpAmpContext context;
-
-  std::array<OpAmpAnalysis, W> lanes;
-  analyze_lanes<W>(kProc, std::span<const OpAmpDesign, W>(designs.data(), W), context,
-                   std::span<OpAmpAnalysis, W>(lanes));
-
+  const auto lanes = run_lanes<W>(isa, kProc, designs, context);
   for (std::size_t k = 0; k < W; ++k) {
     const OpAmpAnalysis scalar = analyze(kProc, designs[k], context);
     expect_analysis_equal(lanes[k], scalar, k);
+  }
+}
+
+template <std::size_t W>
+void check_corners(std::optional<LaneIsa> isa = std::nullopt) {
+  const auto designs = random_designs(W, 99);
+  const OpAmpContext context;
+  for (const device::Corner corner : device::kAllCorners) {
+    const device::Process process = kProc.at_corner(corner);
+    const auto lanes = run_lanes<W>(isa, process, designs, context);
+    for (std::size_t k = 0; k < W; ++k) {
+      expect_analysis_equal(lanes[k], analyze(process, designs[k], context), k);
+    }
   }
 }
 
@@ -105,18 +99,34 @@ TEST(BatchOpAmp, WidthSixteenBitIdentical) {
 TEST(BatchOpAmp, EveryCornerBitIdentical) {
   // The engine evaluates each design on five process corners; the kernels
   // must agree on all of them, not just typical.
-  const auto designs = random_designs(8, 99);
-  const OpAmpContext context;
-  for (const device::Corner corner : device::kAllCorners) {
-    const device::Process process = kProc.at_corner(corner);
-    std::array<OpAmpAnalysis, 8> lanes;
-    analyze_lanes<8>(process, std::span<const OpAmpDesign, 8>(designs.data(), 8), context,
-                     std::span<OpAmpAnalysis, 8>(lanes));
-    for (std::size_t k = 0; k < 8; ++k) {
-      expect_analysis_equal(lanes[k], analyze(process, designs[k], context), k);
-    }
+  check_corners<8>();
+}
+
+TEST(BatchOpAmp, DispatchesToTheBestRunnableCopy) {
+  const LaneIsa expected =
+      lane_isa_runnable(LaneIsa::kX86_64_V4) ? LaneIsa::kX86_64_V4 : LaneIsa::kBaseline;
+  EXPECT_EQ(lane_isa(), expected) << lane_isa_name(lane_isa());
+  EXPECT_TRUE(lane_isa_runnable(LaneIsa::kBaseline));
+}
+
+class BatchOpAmpPerIsa : public testing_support::PerLaneIsa {};
+
+TEST_P(BatchOpAmpPerIsa, EveryWidthBitIdentical) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    check_width<4>(seed, GetParam());
+    check_width<8>(seed, GetParam());
+    check_width<16>(seed, GetParam());
   }
 }
+
+TEST_P(BatchOpAmpPerIsa, EveryCornerAtEveryWidthBitIdentical) {
+  check_corners<4>(GetParam());
+  check_corners<8>(GetParam());
+  check_corners<16>(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, BatchOpAmpPerIsa, ::testing::ValuesIn(kLaneIsas),
+                         testing_support::lane_isa_param_name);
 
 }  // namespace
 }  // namespace anadex::circuit

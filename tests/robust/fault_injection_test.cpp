@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -125,6 +127,52 @@ TEST(FaultInjection, SlowPathCountsAndStillEvaluates) {
   const auto eval = injected.evaluated(std::vector<double>{0.5, 0.5, 0.5, 0.5});
   EXPECT_EQ(eval.objectives.size(), 2u);
   EXPECT_EQ(injected.counters().slow, 1u);
+}
+
+TEST(FaultInjection, CountersAddUpAcrossConcurrentEvaluators) {
+  // Engine workers call one injector's evaluate() concurrently. The fault
+  // draws are a pure function of the genome, so the concurrent totals must
+  // equal those of the same genomes evaluated on one thread, exactly.
+  FaultInjectionConfig config;
+  config.exception_rate = 0.2;
+  config.nan_rate = 0.2;
+  config.slow_rate = 0.1;
+  config.slow_spin_iterations = 64;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 2000;
+  Rng rng(11);
+  std::vector<std::vector<double>> genomes(kThreads * kPerThread);
+  for (auto& genes : genomes) genes = random_genome(rng);
+
+  const auto run = [&](const FaultInjectingProblem& injected, std::size_t begin,
+                       std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      moga::Evaluation out;
+      try {
+        injected.evaluate(genomes[i], out);
+      } catch (const InjectedFault&) {
+      }
+    }
+  };
+  FaultInjectingProblem serial(zdt1(), config);
+  run(serial, 0, genomes.size());
+  FaultInjectingProblem shared(zdt1(), config);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back(run, std::cref(shared), t * kPerThread, (t + 1) * kPerThread);
+  }
+  for (std::thread& worker : workers) worker.join();
+
+  const FaultInjectionCounters want = serial.counters();
+  const FaultInjectionCounters got = shared.counters();
+  EXPECT_EQ(got.evaluations, genomes.size());
+  EXPECT_EQ(got.evaluations, want.evaluations);
+  EXPECT_EQ(got.exceptions, want.exceptions);
+  EXPECT_EQ(got.nans, want.nans);
+  EXPECT_EQ(got.slow, want.slow);
+  EXPECT_GT(want.exceptions, 0u);
+  EXPECT_GT(want.nans, 0u);
+  EXPECT_GT(want.slow, 0u);
 }
 
 TEST(FaultInjection, RejectsOutOfRangeRates) {

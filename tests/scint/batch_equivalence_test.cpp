@@ -3,7 +3,10 @@
 // scalar evaluate() bit for bit — same doubles, not merely close ones —
 // for every spec in the paper's suite, every compiled lane width, ragged
 // remainder groups, and hostile (NaN / out-of-range) genomes. The engine's
-// cross-mode checkpoint byte-identity rests on this property.
+// cross-mode checkpoint byte-identity rests on this property. The
+// BatchEquivalencePerIsa cases repeat the spec, width, corner and
+// Monte-Carlo coverage once per instruction-set copy of the lane kernels,
+// each reached through its namespace.
 #include <array>
 #include <bit>
 #include <cmath>
@@ -13,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/lane_isa.hpp"
 #include "common/rng.hpp"
 #include "expt/runner.hpp"
 #include "moga/individual.hpp"
@@ -307,6 +311,83 @@ TEST(BatchEquivalence, PairMismatchFallsBackToScalarRobustness) {
   for (std::size_t g = 0; g < groups.size(); g += 8) sample.push_back(std::move(groups[g]));
   check_groups(problem, sample, "pair mismatch");
 }
+
+/// Each genome's amplifier, in groups of W, through copy `isa` of the lane
+/// kernels on every process in `processes`, against scalar analyze() (the
+/// only ISA-dependent step of the lane path; everything after it is the
+/// shared scalar epilogue).
+template <std::size_t W>
+void check_copy(circuit::LaneIsa isa, const IntegratorProblem& problem,
+                const std::vector<std::vector<double>>& genomes,
+                std::span<const device::Process> processes, const std::string& label) {
+  const circuit::OpAmpContext& context = problem.context().opamp;
+  for (std::size_t start = 0; start < genomes.size(); start += W) {
+    std::array<circuit::OpAmpDesign, W> designs;
+    for (std::size_t k = 0; k < W; ++k) {
+      // A ragged tail repeats the group's first genome.
+      const std::size_t i = start + k < genomes.size() ? start + k : start;
+      designs[k] = IntegratorProblem::decode(genomes[i]).opamp;
+    }
+    for (std::size_t p = 0; p < processes.size(); ++p) {
+      std::array<circuit::OpAmpAnalysis, W> lanes;
+      testing_support::analyze_lanes_on<W>(
+          isa, processes[p], std::span<const circuit::OpAmpDesign, W>{designs}, context,
+          std::span<circuit::OpAmpAnalysis, W>{lanes});
+      for (std::size_t k = 0; k < W; ++k) {
+        SCOPED_TRACE(label + " genome " + std::to_string(start + k) + " process " +
+                     std::to_string(p));
+        testing_support::expect_analysis_equal(
+            lanes[k], circuit::analyze(processes[p], designs[k], context), k);
+      }
+    }
+  }
+}
+
+void check_copy_at_every_width(circuit::LaneIsa isa, const IntegratorProblem& problem,
+                               const std::vector<std::vector<double>>& genomes,
+                               std::span<const device::Process> processes,
+                               const std::string& label) {
+  check_copy<4>(isa, problem, genomes, processes, label + " W=4");
+  check_copy<8>(isa, problem, genomes, processes, label + " W=8");
+  check_copy<16>(isa, problem, genomes, processes, label + " W=16");
+}
+
+std::vector<device::Process> all_corners() {
+  std::vector<device::Process> corners;
+  for (const device::Corner corner : device::kAllCorners) {
+    corners.push_back(device::Process::typical().at_corner(corner));
+  }
+  return corners;
+}
+
+class BatchEquivalencePerIsa : public testing_support::PerLaneIsa {};
+
+TEST_P(BatchEquivalencePerIsa, AllTwentySpecsEveryCornerEveryWidth) {
+  const auto suite = problems::spec_suite();
+  ASSERT_EQ(suite.size(), 20u);
+  const auto corners = all_corners();
+  for (std::size_t s = 0; s < suite.size(); ++s) {
+    const IntegratorProblem problem(suite[s]);
+    check_copy_at_every_width(GetParam(), problem, random_genomes(problem, 24, 1000 + s),
+                              corners, "spec " + std::to_string(s + 1));
+  }
+}
+
+TEST_P(BatchEquivalencePerIsa, MonteCarloPathGenomesOnEveryShiftedProcess) {
+  // The harvested TT passers on the Monte-Carlo samples' shifted processes:
+  // the processes and designs the lane path's robustness step runs.
+  const IntegratorProblem problem(problems::chosen_spec());
+  const ScreenedCorpus& corpus = screened_corpus();
+  ASSERT_GE(corpus.passing.size(), 16u);
+  const auto shifted = yield::shifted_processes(
+      device::Process::typical().at_corner(device::Corner::TT),
+      yield::draw_perturbations(yield::MonteCarloParams{}));
+  ASSERT_EQ(shifted.size(), yield::MonteCarloParams{}.samples);
+  check_copy_at_every_width(GetParam(), problem, corpus.passing, shifted, "MC path");
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, BatchEquivalencePerIsa, ::testing::ValuesIn(circuit::kLaneIsas),
+                         testing_support::lane_isa_param_name);
 
 }  // namespace
 }  // namespace anadex::problems
