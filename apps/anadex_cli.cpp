@@ -145,7 +145,7 @@ scint::Spec spec_from_arg(const ArgParser& args) {
   const std::string which = args.get("spec", "chosen");
   if (which == "chosen") return problems::chosen_spec();
   const auto suite = problems::spec_suite();
-  const std::size_t index = std::strtoul(which.c_str(), nullptr, 10);
+  const std::size_t index = args.get_count("spec", 0);
   ANADEX_REQUIRE(index >= 1 && index <= suite.size(),
                  "--spec must be 'chosen' or 1.." + std::to_string(suite.size()));
   return suite[index - 1];
@@ -203,25 +203,22 @@ int cmd_explore(const ArgParser& args) {
   expt::RunSettings settings;
   settings.spec = spec_from_arg(args);
   settings.algo = algo_from_arg(args);
-  settings.generations = static_cast<std::size_t>(args.get_int("generations", 800));
-  settings.population = static_cast<std::size_t>(args.get_int("population", 100));
-  settings.partitions = static_cast<std::size_t>(args.get_int("partitions", 8));
+  settings.generations = args.get_count("generations", 800);
+  settings.population = args.get_count("population", 100);
+  settings.partitions = args.get_count("partitions", 8);
   settings.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  settings.islands = static_cast<std::size_t>(
-      args.get_int("islands", static_cast<std::int64_t>(settings.islands)));
-  settings.migration_interval = static_cast<std::size_t>(args.get_int(
-      "migration-interval", static_cast<std::int64_t>(settings.migration_interval)));
-  settings.shards = static_cast<std::size_t>(args.get_int("shards", 1));
+  settings.islands = args.get_count("islands", settings.islands);
+  settings.migration_interval =
+      args.get_count("migration-interval", settings.migration_interval);
+  settings.shards = args.get_count("shards", 1);
   settings.shard_dir = args.get("shard-dir", "");
-  settings.threads = static_cast<std::size_t>(args.get_int("threads", 1));
-  settings.eval_cache = static_cast<std::size_t>(args.get_int("eval-cache", 0));
+  settings.threads = args.get_count("threads", 1);
+  settings.eval_cache = args.get_count("eval-cache", 0);
   settings.batch_eval = engine::parse_batch_eval(args.get("batch-eval", "scalar"));
   settings.record_history = args.get_flag("history");
   settings.checkpoint_path = args.get("checkpoint", "");
-  settings.checkpoint_every =
-      static_cast<std::size_t>(args.get_int("checkpoint-every", 50));
-  settings.checkpoint_keep =
-      static_cast<std::size_t>(args.get_int("checkpoint-keep", 1));
+  settings.checkpoint_every = args.get_count("checkpoint-every", 50);
+  settings.checkpoint_keep = args.get_count("checkpoint-keep", 1);
   if (args.has("resume")) {
     // Bare `--resume` is strict (the file must exist and verify);
     // `--resume auto` recovers from the newest good rotated slot, or starts
@@ -327,22 +324,19 @@ int cmd_shard_worker(const ArgParser& args) {
   expt::RunSettings settings;
   settings.spec = spec_from_arg(args);
   settings.algo = expt::Algo::Island;
-  settings.generations = static_cast<std::size_t>(args.get_int("generations", 800));
-  settings.population = static_cast<std::size_t>(args.get_int("population", 100));
-  settings.partitions = static_cast<std::size_t>(args.get_int("partitions", 8));
+  settings.generations = args.get_count("generations", 800);
+  settings.population = args.get_count("population", 100);
+  settings.partitions = args.get_count("partitions", 8);
   settings.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  settings.islands = static_cast<std::size_t>(
-      args.get_int("islands", static_cast<std::int64_t>(settings.islands)));
-  settings.migration_interval = static_cast<std::size_t>(args.get_int(
-      "migration-interval", static_cast<std::int64_t>(settings.migration_interval)));
-  settings.shards = static_cast<std::size_t>(args.get_int("shards", 1));
-  settings.threads = static_cast<std::size_t>(args.get_int("threads", 1));
-  settings.eval_cache = static_cast<std::size_t>(args.get_int("eval-cache", 0));
+  settings.islands = args.get_count("islands", settings.islands);
+  settings.migration_interval =
+      args.get_count("migration-interval", settings.migration_interval);
+  settings.shards = args.get_count("shards", 1);
+  settings.threads = args.get_count("threads", 1);
+  settings.eval_cache = args.get_count("eval-cache", 0);
   settings.batch_eval = engine::parse_batch_eval(args.get("batch-eval", "scalar"));
-  settings.checkpoint_every =
-      static_cast<std::size_t>(args.get_int("checkpoint-every", 50));
-  settings.checkpoint_keep =
-      static_cast<std::size_t>(args.get_int("checkpoint-keep", 1));
+  settings.checkpoint_every = args.get_count("checkpoint-every", 50);
+  settings.checkpoint_keep = args.get_count("checkpoint-keep", 1);
   if (args.has("eval-deadline")) {
     settings.eval_deadline_s = args.get_double("eval-deadline", 0.0);
   }
@@ -350,7 +344,7 @@ int cmd_shard_worker(const ArgParser& args) {
   shard::WorkerContext ctx;
   ctx.topology =
       shard::Topology::make(settings.islands, settings.shards, settings.seed);
-  ctx.shard = static_cast<std::size_t>(args.get_int("shard", 0));
+  ctx.shard = args.get_count("shard", 0);
   ctx.dir = std::filesystem::path(args.get("dir", ""));
   ctx.settings = std::move(settings);
   warn_unused(args);
@@ -400,7 +394,7 @@ int cmd_simulate(const ArgParser& args) {
   sysdes::SimulationConfig config;
   config.osr = args.get_double("osr", 128.0);
   config.input_amplitude = args.get_double("amplitude", 0.5);
-  config.samples = static_cast<std::size_t>(args.get_int("samples", 1 << 14));
+  config.samples = args.get_count("samples", 1 << 14);
   warn_unused(args);
 
   const auto result = sysdes::simulate_modulator(sysdes::ideal_stages(order), config);
@@ -418,9 +412,9 @@ int cmd_simulate(const ArgParser& args) {
 int cmd_compare(const ArgParser& args) {
   expt::RunSettings settings;
   settings.spec = spec_from_arg(args);
-  settings.generations = static_cast<std::size_t>(args.get_int("generations", 800));
+  settings.generations = args.get_count("generations", 800);
   settings.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  settings.threads = static_cast<std::size_t>(args.get_int("threads", 1));
+  settings.threads = args.get_count("threads", 1);
   settings.batch_eval = engine::parse_batch_eval(args.get("batch-eval", "scalar"));
   warn_unused(args);
 
@@ -452,10 +446,9 @@ int cmd_serve(const ArgParser& args) {
   ANADEX_REQUIRE(!spool_arg.empty(), "serve needs --spool DIR");
   const fs::path spool(spool_arg);
   fs::create_directories(spool);
-  const std::size_t threads = static_cast<std::size_t>(args.get_int("threads", 0));
-  const std::size_t cache_capacity =
-      static_cast<std::size_t>(args.get_int("eval-cache", 1 << 16));
-  const std::size_t slice = static_cast<std::size_t>(args.get_int("slice", 25));
+  const std::size_t threads = args.get_count("threads", 0);
+  const std::size_t cache_capacity = args.get_count("eval-cache", 1 << 16);
+  const std::size_t slice = args.get_count("slice", 25);
   const engine::BatchEval batch_eval =
       engine::parse_batch_eval(args.get("batch-eval", "scalar"));
   const long long poll_ms = args.get_int("poll-ms", 200);

@@ -37,7 +37,9 @@
 // a seeded MESACGA run at generations 0, 10, 50 and the final one, splits
 // it into TT-failing genomes (corner evaluation only) and TT-passing ones
 // (corners plus Monte-Carlo), and reports paired scalar-vs-SIMD evals/s
-// per class.
+// per class. A third class, "mixed", keeps each harvested generation's
+// population whole and evaluates it as one serial batch: the batch shape a
+// single-thread run evaluates, passers and failers interleaved.
 //
 // The sharded section times a full island exploration executed by
 // shard::run_sharded at 1 worker shard vs 4 (thread mode, fsync off so the
@@ -131,11 +133,13 @@ bool identical(const std::vector<moga::Evaluation>& a,
 }
 
 /// The two cost classes of a real run's evaluations: genomes that fail
-/// the TT screen, and genomes that pass it and take the Monte-Carlo path.
+/// the TT screen, and genomes that pass it and take the Monte-Carlo path;
+/// plus every harvested population whole, one batch per generation.
 struct Corpus {
   std::vector<std::size_t> generations;  ///< harvested generations
   std::vector<engine::Genome> tt_fail;
   std::vector<engine::Genome> mc_path;
+  std::vector<std::vector<engine::Genome>> mixed;
 };
 
 Corpus harvest_corpus(const problems::IntegratorProblem& problem, std::size_t generations) {
@@ -144,10 +148,12 @@ Corpus harvest_corpus(const problems::IntegratorProblem& problem, std::size_t ge
   std::size_t last_gen = 0;
   const auto take = [&](std::size_t gen, const moga::Population& population) {
     corpus.generations.push_back(gen);
+    auto& batch = corpus.mixed.emplace_back();
     for (const moga::Individual& member : population) {
       const auto design = problems::IntegratorProblem::decode(member.genes);
       const bool tt_pass = problem.spec().satisfied_by(problem.typical_performance(design));
       (tt_pass ? corpus.mc_path : corpus.tt_fail).push_back(member.genes);
+      batch.push_back(member.genes);
     }
   };
   expt::RunSettings s;
@@ -204,6 +210,26 @@ double timed_evals_per_sec(const engine::EvalEngine& eval,
   }
   const std::chrono::duration<double> elapsed = Clock::now() - start;
   return static_cast<double>(genomes.size() * repeats) / elapsed.count();
+}
+
+/// timed_evals_per_sec over several batches, each submitted as one
+/// evaluate_batch() call; outs[b] receives batch b.
+double timed_evals_per_sec(const engine::EvalEngine& eval,
+                           const std::vector<std::vector<engine::Genome>>& batches,
+                           std::vector<std::vector<moga::Evaluation>>& outs,
+                           std::size_t repeats) {
+  std::size_t genomes = 0;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    outs[b].resize(batches[b].size());
+    eval.evaluate_batch(batches[b], outs[b]);  // warm-up
+    genomes += batches[b].size();
+  }
+  const auto start = Clock::now();
+  for (std::size_t r = 0; r < repeats; ++r) {
+    for (std::size_t b = 0; b < batches.size(); ++b) eval.evaluate_batch(batches[b], outs[b]);
+  }
+  const std::chrono::duration<double> elapsed = Clock::now() - start;
+  return static_cast<double>(genomes * repeats) / elapsed.count();
 }
 
 }  // namespace
@@ -296,27 +322,33 @@ int main(int argc, char** argv) {
   // --- real-run corpus: scalar vs SIMD per cost class (1 thread) ---
   // Same paired best-of-N protocol as above, one batch per class.
   const Corpus corpus = harvest_corpus(problem, quick ? 60 : 100);
+  // Each class is a list of batches: one per cost class, one per
+  // harvested generation for "mixed".
   std::vector<ClassRow> class_rows;
-  const std::pair<const char*, const std::vector<engine::Genome>*> classes[] = {
-      {"tt_fail", &corpus.tt_fail}, {"mc_path", &corpus.mc_path}};
-  for (const auto& [name, members] : classes) {
+  const std::vector<std::vector<engine::Genome>> tt_fail{corpus.tt_fail};
+  const std::vector<std::vector<engine::Genome>> mc_path{corpus.mc_path};
+  const std::pair<const char*, const std::vector<std::vector<engine::Genome>>*> classes[] = {
+      {"tt_fail", &tt_fail}, {"mc_path", &mc_path}, {"mixed", &corpus.mixed}};
+  for (const auto& [name, batches] : classes) {
     ClassRow row;
     row.name = name;
-    row.genomes = members->size();
+    for (const auto& batch : *batches) row.genomes += batch.size();
     if (row.genomes == 0) {
       class_rows.push_back(row);
       continue;
     }
-    std::vector<moga::Evaluation> class_scalar(row.genomes);
-    std::vector<moga::Evaluation> class_simd(row.genomes);
+    std::vector<std::vector<moga::Evaluation>> class_scalar(batches->size());
+    std::vector<std::vector<moga::Evaluation>> class_simd(batches->size());
     for (std::size_t t = 0; t < simd_trials; ++t) {
-      const double p = timed_evals_per_sec(scalar_serial, *members, class_scalar, repeats);
-      const double v = timed_evals_per_sec(simd_serial, *members, class_simd, repeats);
+      const double p = timed_evals_per_sec(scalar_serial, *batches, class_scalar, repeats);
+      const double v = timed_evals_per_sec(simd_serial, *batches, class_simd, repeats);
       row.scalar_evals_per_sec = std::max(row.scalar_evals_per_sec, p);
       row.simd_evals_per_sec = std::max(row.simd_evals_per_sec, v);
       row.speedup = std::max(row.speedup, v / p);
     }
-    row.bit_identical = identical(class_simd, class_scalar);
+    for (std::size_t b = 0; b < batches->size(); ++b) {
+      row.bit_identical = row.bit_identical && identical(class_simd[b], class_scalar[b]);
+    }
     class_rows.push_back(row);
   }
   std::printf("\nreal-run corpus (MESACGA seed 1, generations");

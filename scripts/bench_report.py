@@ -69,9 +69,10 @@ SELF_CHECKS = {
         for row in d.get("results", []) + d.get("duplicate_rates", []) + d.get("corpus", [])
     )
     # The real-run corpus must hold both cost classes (TT-failing and
-    # Monte-Carlo path), or its per-class rows time nothing.
+    # Monte-Carlo path), or its per-class rows time nothing, and the mixed
+    # row timing whole generations as the serial batches a real run submits.
     and {row.get("class") for row in d.get("corpus", []) if row.get("genomes", 0) > 0}
-    == {"tt_fail", "mc_path"}
+    == {"tt_fail", "mc_path", "mixed"}
     and d.get("cache_ok") is True
     and d.get("robust_ok") is True
     # The SIMD lane path must be bit-exact against the scalar oracle on

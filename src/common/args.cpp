@@ -1,6 +1,9 @@
 #include "common/args.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -47,10 +50,30 @@ std::int64_t ArgParser::get_int(const std::string& key, std::int64_t fallback) c
   touched_[key] = true;
   ANADEX_REQUIRE(!it->second.empty(), "option '--" + key + "' needs a value");
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(it->second.c_str(), &end, 10);
   ANADEX_REQUIRE(end != nullptr && *end == '\0',
                  "option '--" + key + "' value '" + it->second + "' is not an integer");
+  ANADEX_REQUIRE(errno != ERANGE,
+                 "option '--" + key + "' value '" + it->second + "' is out of range");
   return value;
+}
+
+std::size_t ArgParser::get_count(const std::string& key, std::size_t fallback) const {
+  const auto it = options_.find(key);
+  if (it == options_.end()) return fallback;
+  touched_[key] = true;
+  const std::string& text = it->second;
+  ANADEX_REQUIRE(!text.empty(), "option '--" + key + "' needs a value");
+  const bool digits = std::all_of(text.begin(), text.end(),
+                                  [](char c) { return c >= '0' && c <= '9'; });
+  ANADEX_REQUIRE(digits, "option '--" + key + "' value '" + text +
+                             "' is not a non-negative integer");
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), nullptr, 10);
+  ANADEX_REQUIRE(errno != ERANGE && value <= std::numeric_limits<std::size_t>::max(),
+                 "option '--" + key + "' value '" + text + "' is out of range");
+  return static_cast<std::size_t>(value);
 }
 
 double ArgParser::get_double(const std::string& key, double fallback) const {

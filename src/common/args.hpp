@@ -2,6 +2,7 @@
 // positional words plus `--key value` options and `--flag` switches.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -25,6 +26,10 @@ class ArgParser {
   /// value does not parse as the requested type.
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// A count, size or index: decimal digits only (no sign, blank or
+  /// trailing junk) and within std::size_t, or PreconditionError naming
+  /// the option.
+  std::size_t get_count(const std::string& key, std::size_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_flag(const std::string& key) const;
 

@@ -1,8 +1,10 @@
 #include "common/textio.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
+#include <limits>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -28,10 +30,25 @@ std::uint64_t parse_u64(const std::string& token) {
   ANADEX_REQUIRE(!token.empty() && token.front() != '-',
                  "'" + token + "' is not a valid non-negative integer");
   char* end = nullptr;
-  const std::uint64_t value = std::strtoull(token.c_str(), &end, 10);
+  errno = 0;
+  const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
   ANADEX_REQUIRE(end == token.c_str() + token.size(),
                  "'" + token + "' is not a valid non-negative integer");
+  ANADEX_REQUIRE(errno != ERANGE, "'" + token + "' overflows a 64-bit integer");
   return value;
+}
+
+int parse_int(const std::string& token) {
+  ANADEX_REQUIRE(!token.empty(), "empty token where an integer was expected");
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(token.c_str(), &end, 10);
+  ANADEX_REQUIRE(end == token.c_str() + token.size(),
+                 "'" + token + "' is not a valid integer");
+  ANADEX_REQUIRE(errno != ERANGE && value >= std::numeric_limits<int>::min() &&
+                     value <= std::numeric_limits<int>::max(),
+                 "'" + token + "' overflows an int");
+  return static_cast<int>(value);
 }
 
 std::string LineReader::line(const char* what) {

@@ -22,8 +22,13 @@ std::string exact(double value);
 /// Throws PreconditionError unless the whole token is consumed.
 double parse_double(const std::string& token);
 
-/// Parses a non-negative integer. Throws PreconditionError on junk.
+/// Parses a non-negative integer. Throws PreconditionError, naming the
+/// token, on junk or a value above 2^64 - 1.
 std::uint64_t parse_u64(const std::string& token);
+
+/// Parses a signed decimal int. Throws PreconditionError, naming the
+/// token, on junk or a value outside int.
+int parse_int(const std::string& token);
 
 /// Line-oriented reader for the library's versioned text formats: skips
 /// blank lines, splits on whitespace, and reports contextual errors.

@@ -233,12 +233,17 @@ void EvalEngine::submit(const moga::Problem& problem, std::uint64_t context,
 }
 
 void EvalEngine::run_serial(std::span<const Item> items) const {
-  // Same contract as the pooled path: attempt every item (lane group by
-  // lane group), collect the lowest-index failure in first_error_, so
-  // thread count never changes which items got their results written.
-  for (std::size_t start = 0; start < items.size(); start += lane_width_) {
-    process_group(start, std::min(lane_width_, items.size() - start));
+  // Same contract as the pooled path: attempt every item, collect the
+  // lowest-index failure in first_error_, so thread count never changes
+  // which items got their results written. With lanes engaged the whole
+  // batch is ONE evaluate_lanes() call, so the evaluator can pool work
+  // across all of it; the pool keeps claiming lane_width_ groups, which
+  // balance its workers.
+  if (lanes_ != nullptr) {
+    process_group(0, items.size());
+    return;
   }
+  for (std::size_t i = 0; i < items.size(); ++i) process_item(i);
 }
 
 void EvalEngine::process_item(std::size_t index) const {

@@ -151,9 +151,10 @@ class EvalEngine final : public Evaluator {
   void set_batch_eval(BatchEval mode) { batch_eval_ = mode; }
   BatchEval batch_eval() const { return batch_eval_; }
 
-  /// Lane-path accounting across the engine's lifetime: groups dispatched
-  /// through LaneEvaluator::evaluate_lanes, items inside those groups, and
-  /// groups that threw and were re-run item-by-item on the scalar path.
+  /// Lane-path accounting across the engine's lifetime: evaluate_lanes()
+  /// calls (a serial engine makes one per batch, a pool one per claimed
+  /// group of preferred_lane_width() items), items inside those calls, and
+  /// calls that threw and were re-run item-by-item on the scalar path.
   std::uint64_t lane_groups() const { return lane_groups_.load(std::memory_order_relaxed); }
   std::uint64_t lane_items() const { return lane_items_.load(std::memory_order_relaxed); }
   std::uint64_t lane_fallbacks() const { return lane_fallbacks_.load(std::memory_order_relaxed); }
@@ -229,7 +230,8 @@ class EvalEngine final : public Evaluator {
   void process_item(std::size_t index) const;
   /// Evaluates the `count` items starting at items_[start]: through the
   /// batch's LaneEvaluator when one is active (falling back to per-item
-  /// scalar evaluation if the group throws), item-by-item otherwise.
+  /// scalar evaluation if the call throws), item-by-item otherwise. The
+  /// serial path passes the whole batch, pool workers one claimed group.
   void process_group(std::size_t start, std::size_t count) const;
   void worker_loop();
   /// Folds the per-item clocks of the finished batch into one timed

@@ -5,9 +5,10 @@
 // model does, via the circuit/batch_opamp SoA kernels) additionally derives
 // from this interface. EvalEngine discovers the capability per batch with a
 // dynamic_cast of the batch's problem and — when the --batch-eval knob asks
-// for it — claims items in GROUPS of preferred_lane_width() instead of one
-// at a time, mapping each group onto the SIMD lanes of one
-// evaluate_lanes() call.
+// for it — hands items to evaluate_lanes() instead of evaluate(): a serial
+// engine passes the whole batch in one call, so the evaluator can pool work
+// across it, and a worker pool claims GROUPS of preferred_lane_width(), so
+// its workers stay balanced.
 //
 // Determinism contract (docs/performance.md): evaluate_lanes() must produce
 // BIT-IDENTICAL Evaluations to per-genome Problem::evaluate() for every
@@ -19,7 +20,7 @@
 // Error contract: if any lane cannot be evaluated (a genome the scalar path
 // would reject by throwing), evaluate_lanes() must throw WITHOUT writing to
 // any output slot. The engine then falls back to the per-item scalar path
-// for every member of the group, which reproduces the scalar behavior
+// for every member of the call, which reproduces the scalar behavior
 // exactly — including which exception surfaces and the lowest-index-error
 // rethrow semantics.
 #pragma once
@@ -39,8 +40,8 @@ namespace anadex::engine {
 enum class BatchEval {
   /// Per-genome Problem::evaluate() only — the oracle path.
   Scalar,
-  /// Lane groups whenever the problem supports them, regardless of batch
-  /// size (remainder items go through the scalar path).
+  /// Lanes whenever the problem supports them, regardless of batch size
+  /// (a one-item batch or pool group goes through the scalar path).
   Simd,
   /// Lane groups only when a batch has at least one full group's worth of
   /// items; small batches stay scalar to avoid lane-padding overhead.
@@ -59,15 +60,17 @@ class LaneEvaluator {
   /// through, and chains broken by a lane-unaware layer report false.
   virtual bool lanes_supported() const = 0;
 
-  /// Group size the engine should claim per evaluate_lanes() call.
+  /// Group size a worker pool claims per evaluate_lanes() call.
   /// Typically the SIMD width the kernels were tuned for (8 doubles on
   /// AVX-512, 4 on AVX2). Must be >= 2.
   virtual std::size_t preferred_lane_width() const = 0;
 
   /// Evaluates genes[i] into *outs[i] for every i. The spans are the same
-  /// size, between 1 and preferred_lane_width() entries (the engine hands
-  /// short groups at batch remainders). Must be bit-identical to the
-  /// scalar path and safe to call from several threads concurrently.
+  /// size and non-empty, of any length: one engine thread passes its whole
+  /// batch, a pool passes preferred_lane_width() groups (shorter at batch
+  /// remainders). Must be bit-identical to the scalar path, for every
+  /// genome whatever its neighbours, and safe to call from several threads
+  /// concurrently.
   /// On failure of ANY lane: throw without writing any output (see the
   /// error contract above).
   virtual void evaluate_lanes(std::span<const std::span<const double>> genes,

@@ -1,6 +1,5 @@
 #include "moga/serialize.hpp"
 
-#include <cstdlib>
 #include <iomanip>
 #include <istream>
 #include <ostream>
@@ -118,7 +117,7 @@ Population load_population_exact(std::istream& is) {
     const std::size_t n_genes = textio::parse_u64(head[1]);
     const std::size_t n_objs = textio::parse_u64(head[2]);
     const std::size_t n_viol = textio::parse_u64(head[3]);
-    ind.rank = static_cast<int>(std::strtol(head[4].c_str(), nullptr, 10));
+    ind.rank = textio::parse_int(head[4]);
     ind.crowding = textio::parse_double(head[5]);
     ind.genes = read_exact_values(reader, "genes", n_genes);
     ind.eval.objectives = read_exact_values(reader, "objectives", n_objs);

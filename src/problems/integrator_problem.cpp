@@ -21,6 +21,24 @@ double violation(double amount) {
   return std::clamp(amount, 0.0, kViolationCap);
 }
 
+/// Index of the Monte-Carlo robustness entry in Evaluation::violations.
+constexpr std::size_t kRobustnessViolation = 8;
+
+double robustness_violation(const scint::Spec& spec, double rob) {
+  return violation((spec.robustness_min - rob) / spec.robustness_min);
+}
+
+/// Throws exactly for the genomes whose scalar evaluation throws:
+/// non-positive or non-finite device geometry / bias current trips an
+/// ANADEX_REQUIRE inside the device model.
+void prescreen(const scint::IntegratorDesign& design) {
+  const circuit::OpAmpDesign& a = design.opamp;
+  const bool ok = a.m1.w > 0.0 && a.m1.l > 0.0 && a.m3.w > 0.0 && a.m3.l > 0.0 &&
+                  a.m5.w > 0.0 && a.m5.l > 0.0 && a.m6.w > 0.0 && a.m6.l > 0.0 &&
+                  a.m7.w > 0.0 && a.m7.l > 0.0 && a.ibias > 0.0;
+  ANADEX_REQUIRE(ok, "batch pre-screen: genome outside the device model's domain");
+}
+
 /// Lane robustness of designs[0, m) at the smallest compiled lane width
 /// V >= m (V <= W), padding the group with designs[0]. Called with V = W.
 template <std::size_t V, std::size_t W>
@@ -41,6 +59,12 @@ void fitted_robustness(std::span<const device::Process> shifted,
 }
 
 }  // namespace
+
+struct IntegratorProblem::PassingPool {
+  std::array<scint::IntegratorDesign, circuit::kMaxLaneWidth> designs;
+  std::array<moga::Evaluation*, circuit::kMaxLaneWidth> outs;
+  std::size_t size = 0;
+};
 
 IntegratorProblem::IntegratorProblem(scint::Spec spec, scint::IntegratorContext context,
                                      yield::MonteCarloParams mc)
@@ -169,7 +193,7 @@ void IntegratorProblem::evaluate(std::span<const double> genes, moga::Evaluation
       violation(-sat_worst / 0.1),                             // per 100 mV shortfall
       violation((balance_worst - spec_.balance_max) / spec_.balance_max),
       violation((spec_.vov_min - vov_worst) / 0.1),                // strong inversion
-      violation((spec_.robustness_min - rob) / spec_.robustness_min),
+      robustness_violation(spec_, rob),
   };
 }
 
@@ -181,44 +205,42 @@ void IntegratorProblem::evaluate_lanes(std::span<const std::span<const double>> 
                                        std::span<moga::Evaluation* const> outs) const {
   ANADEX_REQUIRE(genes.size() == outs.size() && !genes.empty(),
                  "evaluate_lanes needs parallel, non-empty spans");
+  // Pre-screen the whole call BEFORE any output is written (LaneEvaluator
+  // error contract). The engine reacts to a throw by re-running every
+  // genome of the call through the scalar path, which reproduces the
+  // precise per-genome exception (or result) the scalar mode would produce.
+  for (const std::span<const double> g : genes) prescreen(decode(g));
+
+  // Stage 1, corners, in lane groups of up to 16 genomes. Stage 2,
+  // Monte-Carlo robustness, runs on the TT passers of the whole call in
+  // full groups of 16 as they accumulate; only the last is fitted.
+  PassingPool pool;
   std::size_t pos = 0;
   while (pos < genes.size()) {
     const std::size_t n = std::min<std::size_t>(genes.size() - pos, circuit::kMaxLaneWidth);
     const auto g = genes.subspan(pos, n);
     const auto o = outs.subspan(pos, n);
     if (n <= 4) {
-      evaluate_lane_group<4>(g, o);
+      evaluate_lane_group<4>(g, o, pool);
     } else if (n <= 8) {
-      evaluate_lane_group<8>(g, o);
+      evaluate_lane_group<8>(g, o, pool);
     } else {
-      evaluate_lane_group<16>(g, o);
+      evaluate_lane_group<16>(g, o, pool);
     }
     pos += n;
   }
+  score_pool(pool);
 }
 
 template <std::size_t W>
 void IntegratorProblem::evaluate_lane_group(std::span<const std::span<const double>> genes,
-                                            std::span<moga::Evaluation* const> outs) const {
+                                            std::span<moga::Evaluation* const> outs,
+                                            PassingPool& pool) const {
   const std::size_t n = genes.size();
 
-  // Pre-screen BEFORE any output is written (LaneEvaluator error
-  // contract): reject exactly the genomes whose scalar evaluation throws —
-  // non-positive or non-finite device geometry / bias current trips an
-  // ANADEX_REQUIRE inside the device model. The engine reacts by re-running
-  // every lane of the group through the scalar path, which reproduces the
-  // precise per-genome exception (or result) the scalar mode would produce.
+  // Pad the group with lane 0; padded results are computed and discarded.
   std::array<scint::IntegratorDesign, W> designs;
-  for (std::size_t i = 0; i < n; ++i) {
-    designs[i] = decode(genes[i]);
-    const circuit::OpAmpDesign& a = designs[i].opamp;
-    const bool ok = a.m1.w > 0.0 && a.m1.l > 0.0 && a.m3.w > 0.0 && a.m3.l > 0.0 &&
-                    a.m5.w > 0.0 && a.m5.l > 0.0 && a.m6.w > 0.0 && a.m6.l > 0.0 &&
-                    a.m7.w > 0.0 && a.m7.l > 0.0 && a.ibias > 0.0;
-    ANADEX_REQUIRE(ok, "batch pre-screen: genome outside the device model's domain");
-  }
-  // Pad the group with lane 0 (already screened); padded results are
-  // computed and discarded.
+  for (std::size_t i = 0; i < n; ++i) designs[i] = decode(genes[i]);
   for (std::size_t i = n; i < W; ++i) designs[i] = designs[0];
 
   // Per-lane worst-case accumulators, mirroring evaluate()'s corner loop.
@@ -259,25 +281,7 @@ void IntegratorProblem::evaluate_lane_group(std::span<const std::span<const doub
     }
   }
 
-  // Monte-Carlo robustness of the TT-passing lanes, perturbation-major:
-  // compact them into one group, fitted to their count, and run one lane
-  // kernel call per shifted process. A pair-mismatch set has no shared
-  // shifted processes, so it falls back to the scalar form per lane.
-  std::array<scint::IntegratorDesign, W> passing;
-  std::array<double, W> passing_rob;
-  std::size_t m = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (tt_pass[i]) passing[m++] = designs[i];
-  }
-  if (m > 0 && !mc_processes_.empty()) {
-    fitted_robustness<W>(mc_processes_, passing, m, context_, spec_, passing_rob);
-  } else {
-    for (std::size_t k = 0; k < m; ++k) passing_rob[k] = design_robustness(passing[k]);
-  }
-
-  std::size_t next_passing = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double rob = tt_pass[i] ? passing_rob[next_passing++] : 0.0;
     moga::Evaluation& out = *outs[i];
     out.objectives = {power_tt[i], kLoadMax - designs[i].cload};
     out.violations = {
@@ -289,9 +293,33 @@ void IntegratorProblem::evaluate_lane_group(std::span<const std::span<const doub
         violation(-sat_worst[i] / 0.1),
         violation((balance_worst[i] - spec_.balance_max) / spec_.balance_max),
         violation((spec_.vov_min - vov_worst[i]) / 0.1),
-        violation((spec_.robustness_min - rob) / spec_.robustness_min),
+        robustness_violation(spec_, 0.0),
     };
+    if (tt_pass[i]) {
+      pool.designs[pool.size] = designs[i];
+      pool.outs[pool.size] = &out;
+      if (++pool.size == circuit::kMaxLaneWidth) score_pool(pool);
+    }
   }
+}
+
+void IntegratorProblem::score_pool(PassingPool& pool) const {
+  const std::size_t m = pool.size;
+  if (m == 0) return;
+  // Perturbation-major: one lane kernel call per shifted process over the
+  // pooled designs. A pair-mismatch set has no shared shifted processes,
+  // so it falls back to the scalar form per design.
+  std::array<double, circuit::kMaxLaneWidth> rob;
+  if (!mc_processes_.empty()) {
+    fitted_robustness<circuit::kMaxLaneWidth>(mc_processes_, pool.designs, m, context_, spec_,
+                                              rob);
+  } else {
+    for (std::size_t k = 0; k < m; ++k) rob[k] = design_robustness(pool.designs[k]);
+  }
+  for (std::size_t k = 0; k < m; ++k) {
+    pool.outs[k]->violations[kRobustnessViolation] = robustness_violation(spec_, rob[k]);
+  }
+  pool.size = 0;
 }
 
 std::unique_ptr<IntegratorProblem> make_integrator_problem(const scint::Spec& spec) {

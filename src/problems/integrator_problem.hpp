@@ -13,9 +13,10 @@
 //
 // Robustness is only computed for designs that pass every deterministic
 // limit at the typical corner. evaluate() scores such a design with the
-// scalar yield::robustness(). The lane path scores all TT-passing lanes of
-// a group together with yield::robustness_lanes(), one lane kernel call per
-// perturbation, bit-identically.
+// scalar yield::robustness(). The lane path pools the TT-passing designs of
+// a whole evaluate_lanes() call and scores them 16 at a time with
+// yield::robustness_lanes(), one lane kernel call per perturbation,
+// bit-identically; only the last group of a call is fitted to 4/8/16.
 #pragma once
 
 #include <array>
@@ -56,8 +57,10 @@ class IntegratorProblem final : public moga::Problem, public engine::LaneEvaluat
 
   void evaluate(std::span<const double> genes, moga::Evaluation& out) const override;
 
-  // LaneEvaluator: the SoA batch path. Results are bit-identical to
-  // evaluate() per genome (golden suite tests/scint/batch_equivalence_test).
+  // LaneEvaluator: the SoA batch path, for spans of any length. Results
+  // are bit-identical to evaluate() per genome (golden suite
+  // tests/scint/batch_equivalence_test). A call keeps its working set on
+  // the stack, whatever the span length.
   bool lanes_supported() const override { return true; }
   std::size_t preferred_lane_width() const override;
   void evaluate_lanes(std::span<const std::span<const double>> genes,
@@ -80,12 +83,22 @@ class IntegratorProblem final : public moga::Problem, public engine::LaneEvaluat
   double design_robustness(const scint::IntegratorDesign& design) const;
 
  private:
-  /// One padded lane group (n <= W) of the batch path; W is one of
-  /// circuit::kLaneWidths. Defined in the .cpp (only called from
-  /// evaluate_lanes there).
+  /// The TT-passing designs of one evaluate_lanes() call that await
+  /// Monte-Carlo robustness, at most one lane group of them at a time.
+  /// Defined in the .cpp.
+  struct PassingPool;
+
+  /// The corner stage of one padded lane group (n <= W; W is one of
+  /// circuit::kLaneWidths) of pre-screened genomes: writes every output
+  /// with a non-passer's robustness violation and adds the TT passers to
+  /// `pool`, scoring it whenever it fills.
   template <std::size_t W>
   void evaluate_lane_group(std::span<const std::span<const double>> genes,
-                           std::span<moga::Evaluation* const> outs) const;
+                           std::span<moga::Evaluation* const> outs, PassingPool& pool) const;
+
+  /// The Monte-Carlo stage: overwrites the robustness violation of every
+  /// design in `pool` and empties it.
+  void score_pool(PassingPool& pool) const;
 
   scint::Spec spec_;
   scint::IntegratorContext context_;

@@ -1,5 +1,8 @@
 #include "common/args.hpp"
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
@@ -48,6 +51,33 @@ TEST(Args, IntegerParsing) {
 TEST(Args, IntegerRejectsGarbage) {
   const auto args = parse({"--n", "12x"});
   EXPECT_THROW(args.get_int("n", 0), PreconditionError);
+}
+
+TEST(Args, IntegerRejectsOverflow) {
+  const auto args = parse({"--n", "9223372036854775808"});
+  EXPECT_THROW(args.get_int("n", 0), PreconditionError);
+}
+
+TEST(Args, CountParsing) {
+  const auto args = parse({"--n", "123", "--zero", "0", "--max", "18446744073709551615"});
+  EXPECT_EQ(args.get_count("n", 0), 123u);
+  EXPECT_EQ(args.get_count("zero", 7), 0u);
+  EXPECT_EQ(args.get_count("max", 0), std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(args.get_count("missing", 42), 42u);
+}
+
+TEST(Args, CountRejectsSignsJunkAndOverflowNamingTheOption) {
+  for (const char* value : {"-5", "+5", "3abc", " 3", "3 ", "0x10", "1e3", "",
+                            "18446744073709551616", "99999999999999999999999"}) {
+    const auto args = parse({"--generations", value});
+    try {
+      (void)args.get_count("generations", 0);
+      ADD_FAILURE() << "accepted '" << value << "'";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("--generations"), std::string::npos)
+          << value << ": " << e.what();
+    }
+  }
 }
 
 TEST(Args, DoubleParsing) {

@@ -3,9 +3,13 @@
 // counts, the Auto heuristic must only engage lanes when a batch fills a
 // group, a throwing lane evaluator must fall back per item (counted, not
 // fatal), and GuardedProblem's fault accounting must match scalar mode
-// exactly when lanes re-run faulty items.
+// exactly when lanes re-run faulty items. A serial engine hands the whole
+// batch to one evaluate_lanes() call, which pools Monte-Carlo robustness
+// across it.
 #include "engine/eval_engine.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -13,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/simd/lane_evaluator.hpp"
+#include "expt/runner.hpp"
 #include "problems/integrator_problem.hpp"
 #include "problems/spec_suite.hpp"
 #include "robust/guarded_problem.hpp"
@@ -34,12 +39,20 @@ std::vector<Genome> make_genomes(const moga::Problem& problem, std::size_t count
   return genomes;
 }
 
+/// Bit patterns of every objective and violation, so -0.0 vs 0.0 counts.
+std::vector<std::uint64_t> bits(const moga::Evaluation& e) {
+  std::vector<std::uint64_t> out;
+  for (const double v : e.objectives) out.push_back(std::bit_cast<std::uint64_t>(v));
+  for (const double v : e.violations) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
 void expect_evaluations_eq(const std::vector<moga::Evaluation>& a,
                            const std::vector<moga::Evaluation>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].objectives, b[i].objectives) << "item " << i;
-    EXPECT_EQ(a[i].violations, b[i].violations) << "item " << i;
+    EXPECT_EQ(a[i].objectives.size(), b[i].objectives.size()) << "item " << i;
+    EXPECT_EQ(bits(a[i]), bits(b[i])) << "item " << i;
   }
 }
 
@@ -98,6 +111,55 @@ TEST(BatchEvalKnob, SimdModeBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(simd.lane_items() + simd.lane_fallbacks(), genomes.size())
         << threads << " threads";
   }
+}
+
+TEST(BatchEvalKnob, SerialEngineEvaluatesEachRealGenerationInOneLaneCall) {
+  // Every population of a short MESACGA run, each as one batch: the shape
+  // a single-thread run evaluates. Early populations mix typical-corner
+  // passers (Monte-Carlo path) and failers, later ones are all passers
+  // with varying robustness, so the pooled Monte-Carlo groups run full and
+  // fitted, across lane-group boundaries.
+  const problems::IntegratorProblem problem(problems::chosen_spec());
+  std::vector<std::vector<Genome>> batches;
+  std::size_t mixed = 0;  // batches with passers and failers
+  expt::RunSettings s;
+  s.algo = expt::Algo::MESACGA;
+  s.spec = problems::chosen_spec();
+  s.population = 48;
+  s.generations = 24;
+  s.partitions = 4;
+  s.mesacga_schedule = {4, 2, 1};
+  s.phase1_cap = 8;
+  s.seed = 5;
+  s.on_generation = [&](std::size_t, const moga::Population& population) {
+    auto& batch = batches.emplace_back();
+    std::size_t passing = 0;
+    for (const moga::Individual& member : population) {
+      batch.push_back(member.genes);
+      const auto design = problems::IntegratorProblem::decode(member.genes);
+      if (problem.spec().satisfied_by(problem.typical_performance(design))) ++passing;
+    }
+    if (passing > 16 && passing < batch.size()) ++mixed;
+  };
+  expt::run(problem, s);
+  ASSERT_GT(batches.size(), 1u);
+  EXPECT_GT(mixed, 0u);
+
+  const EvalEngine scalar(problem, 1);
+  EvalEngine simd(problem, 1);
+  simd.set_batch_eval(BatchEval::Simd);
+  std::size_t items = 0;
+  for (const auto& batch : batches) {
+    std::vector<moga::Evaluation> reference(batch.size());
+    scalar.evaluate_batch(batch, reference);
+    std::vector<moga::Evaluation> out(batch.size());
+    simd.evaluate_batch(batch, out);
+    expect_evaluations_eq(out, reference);
+    items += batch.size();
+  }
+  EXPECT_EQ(simd.lane_groups(), batches.size());
+  EXPECT_EQ(simd.lane_items(), items);
+  EXPECT_EQ(simd.lane_fallbacks(), 0u);
 }
 
 TEST(BatchEvalKnob, AutoEngagesLanesOnlyWhenBatchFillsAGroup) {

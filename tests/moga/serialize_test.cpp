@@ -1,6 +1,7 @@
 #include "moga/serialize.hpp"
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -75,6 +76,42 @@ TEST(Serialize, RejectsWrongKeyword) {
   std::stringstream stream(
       "anadex-population v1\nindividual 1 1 0\nchromosome 1\nobjectives 1\nviolations\n");
   EXPECT_THROW(load_population(stream), PreconditionError);
+}
+
+TEST(Serialize, ExactFormatRoundTripsRank) {
+  Population pop = sample_population();
+  pop[0].rank = 0;
+  pop[1].rank = 3;  // pop[2] keeps the unranked -1
+  std::stringstream stream;
+  save_population_exact(stream, pop);
+  const Population loaded = load_population_exact(stream);
+  ASSERT_EQ(loaded.size(), pop.size());
+  for (std::size_t i = 0; i < pop.size(); ++i) EXPECT_EQ(loaded[i].rank, pop[i].rank);
+}
+
+/// Loads an exact-format population whose first record header is
+/// `individual <head>`, expecting a PreconditionError naming `token`.
+void expect_exact_load_rejects(const std::string& head, const std::string& token) {
+  std::stringstream stream("anadex-population v2 1\nindividual " + head +
+                           "\ngenes 0x1p+0\nobjectives 0x1p+0\nviolations\n");
+  try {
+    (void)load_population_exact(stream);
+    ADD_FAILURE() << "accepted 'individual " << head << "'";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(token), std::string::npos) << e.what();
+  }
+}
+
+TEST(Serialize, ExactFormatRejectsJunkAndOverflowingIntegers) {
+  expect_exact_load_rejects("1 1 0 9abc 0x0p+0", "9abc");
+  expect_exact_load_rejects("1 1 0 abc 0x0p+0", "abc");
+  expect_exact_load_rejects("1 1 0 2147483648 0x0p+0", "2147483648");
+  expect_exact_load_rejects("18446744073709551616 1 0 0 0x0p+0", "18446744073709551616");
+  expect_exact_load_rejects("1 1 99999999999999999999999 0 0x0p+0",
+                            "99999999999999999999999");
+
+  std::stringstream count("anadex-population v2 18446744073709551616\n");
+  EXPECT_THROW((void)load_population_exact(count), PreconditionError);
 }
 
 TEST(Serialize, OptimizedFrontRoundTripsThroughCheckpoint) {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "expt/runner.hpp"
 #include "problems/spec_suite.hpp"
 
@@ -51,6 +52,21 @@ Checkpoint make_checkpoint(std::size_t next_generation) {
   return cp;
 }
 
+/// Replaces the first `from` in a checkpoint's body and writes a fresh
+/// checksum trailer, so the damage reaches the parser instead of being
+/// caught by the checksum.
+std::string resigned_with(std::string text, const std::string& from, const std::string& to) {
+  const auto at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at == std::string::npos) return text;
+  text.replace(at, from.size(), to);
+  const std::string body = text.substr(0, text.rfind("checksum "));
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(hash_bytes(body, 0)));
+  return body + "checksum " + hex + "\n";
+}
+
 /// One way of damaging a checkpoint file's bytes.
 struct Corruption {
   const char* name;
@@ -86,6 +102,18 @@ std::vector<Corruption> corruption_table() {
        },
        "anadex-checkpoint v7"},
       {"emptied", [](std::string) { return std::string(); }, "version mismatch"},
+      {"overflowing-seed",  // 2^64: one past the largest u64
+       [](std::string text) {
+         return resigned_with(std::move(text), "meta TPG(NSGA-II) 7 ",
+                              "meta TPG(NSGA-II) 18446744073709551616 ");
+       },
+       "18446744073709551616"},
+      {"junk-rank",  // the parents' one record: 2 genes, 2 objectives, 0 violations
+       [](std::string text) {
+         return resigned_with(std::move(text), "individual 2 2 0 -1 ",
+                              "individual 2 2 0 9abc ");
+       },
+       "9abc"},
   };
 }
 

@@ -3,20 +3,26 @@
 // scalar evaluate() bit for bit — same doubles, not merely close ones —
 // for every spec in the paper's suite, every compiled lane width, ragged
 // remainder groups, and hostile (NaN / out-of-range) genomes. The engine's
-// cross-mode checkpoint byte-identity rests on this property. The
-// BatchEquivalencePerIsa cases repeat the spec, width, corner and
-// Monte-Carlo coverage once per instruction-set copy of the lane kernels,
-// each reached through its namespace.
+// cross-mode checkpoint byte-identity rests on this property. Spans longer
+// than one lane group pool their TT passers' Monte-Carlo robustness across
+// the whole call, so the pooled spans check every passer's robustness lands
+// on its own genome. The BatchEquivalencePerIsa cases repeat the spec,
+// width, corner and Monte-Carlo coverage once per instruction-set copy of
+// the lane kernels, each reached through its namespace.
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "../support/lane_isa.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "expt/runner.hpp"
 #include "moga/individual.hpp"
@@ -295,6 +301,120 @@ TEST(BatchEquivalence, MonteCarloLanePathAtEveryFittedWidth) {
   check_groups(problem, groups, "mixed");
 }
 
+/// Smallest compiled lane width that holds the last Monte-Carlo group of
+/// `passing` pooled passers (groups of 16, the last one fitted).
+std::size_t fitted_tail_width(std::size_t passing) {
+  const std::size_t tail = passing % 16 == 0 ? 16 : passing % 16;
+  return tail <= 4 ? 4 : tail <= 8 ? 8 : 16;
+}
+
+/// One span for a single evaluate_lanes() call, mixing corpus passers and
+/// failers: the passers sit at the positions `pass` marks.
+struct PooledSpan {
+  std::string label;
+  std::vector<std::vector<double>> genomes;
+  std::vector<bool> pass;
+};
+
+/// Spans of 17, 37 and 200 genomes, each with three passer counts whose
+/// pooled Monte-Carlo stage ends in a group fitted to 4, 8 and 16. Passers
+/// are drawn at seeded random positions, always including indices 15 and
+/// 16 so they sit on both sides of the first lane-group boundary. In span
+/// order they alternate between robust passers (robustness violation 0)
+/// and fragile ones, so a robustness value routed to a neighbouring passer
+/// always changes a result.
+std::vector<PooledSpan> pooled_spans(const IntegratorProblem& problem,
+                                     const ScreenedCorpus& corpus) {
+  std::array<std::vector<std::vector<double>>, 2> passing;  // robust, fragile
+  for (const auto& genes : corpus.passing) {
+    passing[problem.evaluated(genes).violations[8] == 0.0 ? 0 : 1].push_back(genes);
+  }
+  EXPECT_FALSE(passing[0].empty());
+  EXPECT_FALSE(passing[1].empty());
+  struct Shape {
+    std::size_t size;
+    std::size_t passing;
+  };
+  const Shape shapes[] = {{17, 3},   {17, 7},   {17, 13},  {37, 18}, {37, 21},
+                          {37, 29},  {200, 100}, {200, 101}, {200, 111}};
+  std::vector<PooledSpan> spans;
+  Rng rng(2005);
+  std::array<std::size_t, 2> next_pass{};
+  std::size_t next_fail = 0;
+  for (const Shape& shape : shapes) {
+    PooledSpan span;
+    span.label = "span " + std::to_string(shape.size) + " with " +
+                 std::to_string(shape.passing) + " passers";
+    span.pass.assign(shape.size, false);
+    span.pass[15] = span.pass[16] = true;
+    for (std::size_t marked = 2; marked < shape.passing;) {
+      const std::size_t i = rng.uniform_index(shape.size);
+      if (!span.pass[i]) {
+        span.pass[i] = true;
+        ++marked;
+      }
+    }
+    std::size_t passers = 0;
+    for (std::size_t i = 0; i < shape.size; ++i) {
+      if (span.pass[i]) {
+        const std::size_t kind = passers++ % 2;
+        span.genomes.push_back(passing[kind][next_pass[kind]++ % passing[kind].size()]);
+      } else {
+        span.genomes.push_back(corpus.failing[next_fail++ % corpus.failing.size()]);
+      }
+    }
+    spans.push_back(std::move(span));
+  }
+  return spans;
+}
+
+TEST(BatchEquivalence, MonteCarloPooledAcrossWholeSpans) {
+  const IntegratorProblem problem(problems::chosen_spec());
+  const ScreenedCorpus& corpus = screened_corpus();
+  ASSERT_GE(corpus.passing.size(), 16u);
+  ASSERT_GE(corpus.failing.size(), 16u);
+  std::set<std::size_t> sizes;
+  std::set<std::size_t> tail_widths;
+  for (const PooledSpan& span : pooled_spans(problem, corpus)) {
+    std::size_t passing = 0;
+    for (std::size_t i = 0; i < span.genomes.size(); ++i) {
+      ASSERT_EQ(passes_tt(problem, span.genomes[i]), bool{span.pass[i]})
+          << span.label << " genome " << i;
+      if (span.pass[i]) ++passing;
+    }
+    sizes.insert(span.genomes.size());
+    tail_widths.insert(fitted_tail_width(passing));
+    check_equivalence(problem, span.genomes, span.genomes.size(), span.label);
+  }
+  EXPECT_EQ(sizes, (std::set<std::size_t>{17, 37, 200}));
+  EXPECT_EQ(tail_widths, (std::set<std::size_t>{4, 8, 16}));
+}
+
+TEST(BatchEquivalence, HostileGenomeDeepInASpanWritesNothing) {
+  // The whole call is pre-screened before any output is written, so a
+  // genome the device model rejects past the first lane group still
+  // leaves every slot, before and after it, untouched.
+  const IntegratorProblem problem(problems::chosen_spec());
+  const auto spans = pooled_spans(problem, screened_corpus());
+  auto genomes = spans.back().genomes;
+  ASSERT_EQ(genomes.size(), 200u);
+  genomes[123][kIbias] = std::numeric_limits<double>::quiet_NaN();
+
+  const moga::Evaluation sentinel{{-1.0, -2.0}, {-3.0}};
+  std::vector<moga::Evaluation> outs(genomes.size(), sentinel);
+  std::vector<std::span<const double>> genes(genomes.size());
+  std::vector<moga::Evaluation*> out_ptrs(genomes.size());
+  for (std::size_t i = 0; i < genomes.size(); ++i) {
+    genes[i] = genomes[i];
+    out_ptrs[i] = &outs[i];
+  }
+  EXPECT_THROW(problem.evaluate_lanes(genes, out_ptrs), PreconditionError);
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    EXPECT_EQ(outs[i].objectives, sentinel.objectives) << "slot " << i;
+    EXPECT_EQ(outs[i].violations, sentinel.violations) << "slot " << i;
+  }
+}
+
 TEST(BatchEquivalence, PairMismatchFallsBackToScalarRobustness) {
   // Pair-mismatch draws make each sample's process depend on the design,
   // so the lane path scores these lanes with scalar yield::robustness.
@@ -384,6 +504,39 @@ TEST_P(BatchEquivalencePerIsa, MonteCarloPathGenomesOnEveryShiftedProcess) {
       yield::draw_perturbations(yield::MonteCarloParams{}));
   ASSERT_EQ(shifted.size(), yield::MonteCarloParams{}.samples);
   check_copy_at_every_width(GetParam(), problem, corpus.passing, shifted, "MC path");
+}
+
+TEST_P(BatchEquivalencePerIsa, PooledMonteCarloGroupsOfEverySpan) {
+  // The lane groups the pooled Monte-Carlo stage forms for each span of
+  // MonteCarloPooledAcrossWholeSpans: its passers in span order, in full
+  // groups of 16 and a last group fitted to 4, 8 or 16, on every shifted
+  // process.
+  const IntegratorProblem problem(problems::chosen_spec());
+  const auto shifted = yield::shifted_processes(
+      device::Process::typical().at_corner(device::Corner::TT),
+      yield::draw_perturbations(yield::MonteCarloParams{}));
+  for (const PooledSpan& span : pooled_spans(problem, screened_corpus())) {
+    std::vector<std::vector<double>> passers;
+    for (std::size_t i = 0; i < span.genomes.size(); ++i) {
+      if (span.pass[i]) passers.push_back(span.genomes[i]);
+    }
+    ASSERT_FALSE(passers.empty());
+    const auto split =
+        passers.begin() + static_cast<std::ptrdiff_t>((passers.size() - 1) / 16 * 16);
+    const std::vector<std::vector<double>> full(passers.begin(), split);
+    const std::vector<std::vector<double>> last(split, passers.end());
+    check_copy<16>(GetParam(), problem, full, shifted, span.label + " full groups");
+    switch (fitted_tail_width(passers.size())) {
+      case 4:
+        check_copy<4>(GetParam(), problem, last, shifted, span.label + " last group");
+        break;
+      case 8:
+        check_copy<8>(GetParam(), problem, last, shifted, span.label + " last group");
+        break;
+      default:
+        check_copy<16>(GetParam(), problem, last, shifted, span.label + " last group");
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Isa, BatchEquivalencePerIsa, ::testing::ValuesIn(circuit::kLaneIsas),
