@@ -151,19 +151,6 @@ scint::Spec spec_from_arg(const ArgParser& args) {
   return suite[index - 1];
 }
 
-expt::Algo algo_from_arg(const ArgParser& args) {
-  const std::string name = args.get("algo", "mesacga");
-  if (name == "tpg" || name == "nsga2") return expt::Algo::TPG;
-  if (name == "localonly") return expt::Algo::LocalOnly;
-  if (name == "sacga") return expt::Algo::SACGA;
-  if (name == "mesacga") return expt::Algo::MESACGA;
-  if (name == "island") return expt::Algo::Island;
-  if (name == "wsum") return expt::Algo::WeightedSum;
-  if (name == "spea2") return expt::Algo::SPEA2;
-  ANADEX_REQUIRE(false, "unknown --algo '" + name + "'");
-  return expt::Algo::TPG;
-}
-
 void warn_unused(const ArgParser& args) {
   for (const auto& key : args.unused()) {
     std::cerr << "warning: unrecognized option --" << key << "\n";
@@ -202,7 +189,7 @@ int cmd_knobs() {
 int cmd_explore(const ArgParser& args) {
   expt::RunSettings settings;
   settings.spec = spec_from_arg(args);
-  settings.algo = algo_from_arg(args);
+  settings.algo = expt::algo_from_name(args.get("algo", "mesacga"));
   settings.generations = args.get_count("generations", 800);
   settings.population = args.get_count("population", 100);
   settings.partitions = args.get_count("partitions", 8);
@@ -421,13 +408,11 @@ int cmd_compare(const ArgParser& args) {
   const problems::IntegratorProblem problem(settings.spec);
   std::cout << "spec '" << settings.spec.name << "', " << settings.generations
             << " generations:\n";
-  for (auto algo : {expt::Algo::TPG, expt::Algo::SPEA2, expt::Algo::LocalOnly,
-                    expt::Algo::SACGA, expt::Algo::MESACGA, expt::Algo::Island,
-                    expt::Algo::WeightedSum}) {
-    settings.algo = algo;
+  for (const expt::AlgoInfo& algo : expt::kAlgos) {
+    settings.algo = algo.algo;
     expt::Job job(problem, settings);
     const auto outcome = job.run();
-    expt::print_outcome_summary(std::cout, expt::algo_name(algo), outcome);
+    expt::print_outcome_summary(std::cout, std::string(algo.name), outcome);
   }
   return 0;
 }
@@ -538,9 +523,9 @@ int cmd_serve(const ArgParser& args) {
       settings.stop = &stop;
       settings.trace_path = (spool / (id + ".trace.jsonl")).string();
       settings.trace_level = trace_level;
-      if (settings.algo != expt::Algo::WeightedSum) {
+      if (expt::algo_info(settings.algo).checkpoints) {
         // Preemption + daemon-restart recovery ride the checkpoint chain.
-        // WeightedSum does not checkpoint; it runs whole in one slice.
+        // An algorithm without one runs whole in one slice.
         settings.checkpoint_path = (spool / (id + ".ckpt")).string();
         settings.checkpoint_keep = 2;
         settings.resume = expt::ResumeMode::Auto;

@@ -52,6 +52,11 @@ moga::GenerationCallback make_history_recorder(const RunSettings& settings,
   };
 }
 
+/// Non-owning alias of a problem the caller keeps alive for the run.
+std::shared_ptr<const moga::Problem> borrow(const moga::Problem& problem) {
+  return {std::shared_ptr<void>(), &problem};
+}
+
 }  // namespace
 
 namespace {
@@ -229,8 +234,8 @@ void validate_run_settings(const RunSettings& s) {
   }
   if (!s.checkpoint_path.empty()) {
     ANADEX_REQUIRE(s.checkpoint_every > 0, "run settings: checkpoint_every must be > 0");
-    ANADEX_REQUIRE(s.algo != Algo::WeightedSum,
-                   "run settings: checkpointing is not supported for WeightedSum");
+    ANADEX_REQUIRE(algo_info(s.algo).checkpoints,
+                   "run settings: checkpointing is not supported for " + algo_name(s.algo));
   }
   if (s.resume != ResumeMode::Off) {
     ANADEX_REQUIRE(!s.checkpoint_path.empty(),
@@ -274,18 +279,25 @@ void validate_run_settings(const RunSettings& s) {
   }
 }
 
-std::string algo_name(Algo algo) {
-  switch (algo) {
-    case Algo::TPG: return "TPG(NSGA-II)";
-    case Algo::LocalOnly: return "LocalOnly";
-    case Algo::SACGA: return "SACGA";
-    case Algo::MESACGA: return "MESACGA";
-    case Algo::Island: return "IslandGA";
-    case Algo::WeightedSum: return "WeightedSum";
-    case Algo::SPEA2: return "SPEA2";
+const AlgoInfo& algo_info(Algo algo) {
+  const auto index = static_cast<std::size_t>(algo);
+  ANADEX_ASSERT(index < kAlgos.size() && kAlgos[index].algo == algo,
+                "kAlgos must hold one row per Algo, in enum order");
+  return kAlgos[index];
+}
+
+std::string algo_name(Algo algo) { return std::string(algo_info(algo).name); }
+
+Algo algo_from_name(std::string_view name) {
+  if (name == "nsga2") return Algo::TPG;
+  std::string expected;
+  for (const AlgoInfo& info : kAlgos) {
+    if (name == info.vocabulary) return info.algo;
+    expected += (expected.empty() ? "" : "|") + std::string(info.vocabulary);
   }
-  ANADEX_ASSERT(false, "unknown algorithm");
-  return {};
+  ANADEX_REQUIRE(false, "unknown algo \"" + std::string(name) + "\" (expected " +
+                            expected + ")");
+  return Algo::TPG;
 }
 
 std::vector<FrontSample> to_front_samples(const moga::Population& front) {
@@ -321,6 +333,51 @@ double hypervolume_of(const std::vector<FrontSample>& front) {
   }
   const std::vector<double> ref{kHvPowerRef, kHvAxisRef};
   return moga::hypervolume(points, ref) / (kHvPowerRef * kHvAxisRef);
+}
+
+detail::GuardChain::GuardChain(const moga::Problem& problem, const RunSettings& settings)
+    : injector_(settings.fault_injection.has_value()
+                    ? std::make_shared<robust::FaultInjectingProblem>(
+                          borrow(problem), *settings.fault_injection)
+                    : nullptr),
+      guarded_(injector_ != nullptr ? injector_ : borrow(problem), settings.guard),
+      deadline_s_(settings.eval_deadline_s) {
+  if (deadline_s_.has_value()) {
+    guarded_.set_cancel_token(&cancel_);
+    if (injector_ != nullptr) injector_->set_cancel_token(&cancel_);
+  }
+}
+
+engine::EvalWatchdog detail::GuardChain::watchdog() {
+  if (!deadline_s_.has_value()) return {};
+  return {&cancel_, *deadline_s_};
+}
+
+robust::CheckpointMeta detail::checkpoint_meta(const RunSettings& settings) {
+  robust::CheckpointMeta meta;
+  meta.algo = algo_name(settings.algo);
+  meta.seed = settings.seed;
+  meta.population = settings.population;
+  meta.generations = settings.generations;
+  meta.config = run_config_digest(settings);
+  return meta;
+}
+
+void detail::set_front(RunOutcome& outcome, const moga::Population& front) {
+  outcome.front = to_front_samples(front);
+  std::sort(outcome.front.begin(), outcome.front.end(),
+            [](const FrontSample& a, const FrontSample& b) { return a.cload_f < b.cload_f; });
+  outcome.front_area = front_area_of(outcome.front);
+  outcome.hypervolume_norm = hypervolume_of(outcome.front);
+
+  std::vector<double> loads;
+  loads.reserve(outcome.front.size());
+  for (const auto& s : outcome.front) loads.push_back(s.cload_f);
+  outcome.clustering_4to5 = moga::clustering_fraction(loads, 4e-12, 5e-12);
+  if (!loads.empty()) {
+    const auto [lo, hi] = std::minmax_element(loads.begin(), loads.end());
+    outcome.load_span_pf = (*hi - *lo) * 1e12;
+  }
 }
 
 sacga::IslandParams detail::island_params_from(const RunSettings& settings) {
@@ -374,29 +431,9 @@ RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
     sink->record(obs::Event{"env", obs::TraceLevel::Eval, true, fields});
   }
 
-  // Every evaluation flows through the fault guard (non-owning alias; the
-  // caller's problem outlives the run). Clean evaluators pass through
-  // untouched, so guarded runs are bit-identical to unguarded ones. The
-  // chaos seam slots a deterministic fault injector between the two.
-  std::shared_ptr<const moga::Problem> inner(std::shared_ptr<void>(), &problem);
-  std::shared_ptr<robust::FaultInjectingProblem> injector;
-  if (settings.fault_injection.has_value()) {
-    injector = std::make_shared<robust::FaultInjectingProblem>(
-        inner, *settings.fault_injection);
-    inner = injector;
-  }
-  robust::GuardedProblem guarded(inner, settings.guard);
-
-  // Stuck-eval watchdog plumbing. The token lives here (outliving every
-  // per-algorithm EvalEngine) and is shared between the engine's deadline
-  // thread (raiser), the guard (fail-fast poller) and the injector's
-  // cooperative slow-spin path.
-  CancelToken eval_cancel_token;
-  const double eval_deadline_s = settings.eval_deadline_s.value_or(0.0);
-  if (settings.eval_deadline_s.has_value()) {
-    guarded.set_cancel_token(&eval_cancel_token);
-    if (injector != nullptr) injector->set_cancel_token(&eval_cancel_token);
-  }
+  GuardChain guard(problem, settings);
+  robust::GuardedProblem& guarded = guard.problem();
+  const engine::EvalWatchdog watchdog = guard.watchdog();
 
   RunOutcome outcome;
   moga::GenerationCallback callback = make_history_recorder(settings, outcome.history);
@@ -413,12 +450,7 @@ RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
   }
 
   const bool checkpointing = !settings.checkpoint_path.empty();
-  robust::CheckpointMeta meta;
-  meta.algo = algo_name(settings.algo);
-  meta.seed = settings.seed;
-  meta.population = settings.population;
-  meta.generations = settings.generations;
-  meta.config = run_config_digest(settings);
+  const robust::CheckpointMeta meta = detail::checkpoint_meta(settings);
 
   // Holds the restored algorithm state alive for the whole run (the algo
   // params keep only a non-owning pointer into it).
@@ -455,76 +487,80 @@ RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
   robust::CheckpointWriteOptions cp_options;
   cp_options.keep = settings.checkpoint_keep;
   cp_options.hook = settings.checkpoint_write_hook;
-  const auto write_cp = [&](robust::Checkpoint cp) {
+  const auto write_cp = [&](robust::CheckpointState state) {
+    robust::Checkpoint cp;
     cp.meta = meta;
     cp.faults = guarded.report();
     for (const auto& h : outcome.history) {
       cp.history.push_back({h.generation, h.front_area, h.front_size});
     }
+    cp.state = std::move(state);
     robust::write_checkpoint_file(settings.checkpoint_path, cp, cp_options);
   };
 
-  // Wiring shared by every checkpointable algorithm: seed + thread count,
-  // the snapshot hook writing into the algorithm's Checkpoint slot, and the
-  // resume pointer. EvolverCommon gives all six algorithms one shape, so no
-  // per-algorithm special cases remain below.
-  const auto wire_common = [&]<class State>(engine::EvolverCommon<State>& common,
-                                            std::optional<State> robust::Checkpoint::*slot,
-                                            auto&& resumed_generation) {
-    static_cast<engine::EvalKnobs&>(common) = settings;
-    common.seed = settings.seed;
-    common.sink = sink;
-    common.stop = settings.stop;
-    if (settings.eval_deadline_s.has_value()) {
-      common.eval_deadline_s = eval_deadline_s;
-      common.eval_cancel = &eval_cancel_token;
-    }
+  // Wiring shared by every algorithm: seed, execution knobs and telemetry.
+  const auto wire_base = [&](auto& params) {
+    static_cast<engine::EvalKnobs&>(params) = settings;
+    params.seed = settings.seed;
+    params.sink = sink;
     if (sink != nullptr) {
-      common.trace_hypervolume = [](const moga::Population& front) {
+      params.trace_hypervolume = [](const moga::Population& front) {
         return hypervolume_of(to_front_samples(front));
       };
     }
+  };
+  // Plus, for every checkpointable algorithm: stop token, watchdog, the
+  // snapshot hook and the resume pointer into the restored state.
+  const auto wire_common = [&]<class State>(engine::EvolverCommon<State>& common,
+                                            auto&& resumed_generation) {
+    wire_base(common);
+    common.stop = settings.stop;
+    common.eval_deadline_s = watchdog.deadline_s;
+    common.eval_cancel = watchdog.token;
     if (checkpointing) {
       common.snapshot_every = settings.checkpoint_every;
-      common.on_snapshot = [&write_cp, slot](const State& state) {
-        robust::Checkpoint cp;
-        cp.*slot = state;
-        write_cp(std::move(cp));
-      };
+      common.on_snapshot = [&write_cp](const State& state) { write_cp(state); };
     }
     if (resumed) {
-      const std::optional<State>& stored = resume_cp.*slot;
-      ANADEX_REQUIRE(stored.has_value(),
+      const State* stored = std::get_if<State>(&resume_cp.state);
+      ANADEX_REQUIRE(stored != nullptr,
                      "checkpoint state does not match the requested algorithm");
-      common.resume = &*stored;
+      common.resume = stored;
       outcome.resumed_from_generation = resumed_generation(*stored);
     }
   };
 
-  // Cache accounting common to every algorithm result. With the cache off
-  // distinct == requested and cache_hits == 0.
-  const auto record_eval_stats = [&outcome](const engine::EvalStats& stats) {
-    outcome.distinct_evaluations = stats.evaluated;
-    outcome.cache_hits = stats.cache_hits();
+  moga::Population front;
+  // Every evolver's result carries the front, evaluation counts and cache
+  // accounting (with the cache off distinct == requested, cache_hits == 0).
+  const auto take = [&](auto&& result) {
+    front = std::move(result.front);
+    outcome.evaluations = result.evaluations;
+    outcome.distinct_evaluations = result.eval_stats.evaluated;
+    outcome.cache_hits = result.eval_stats.cache_hits();
+    if constexpr (requires { result.generations_run; }) {
+      outcome.generations = result.generations_run;
+      outcome.interrupted = result.interrupted;
+    } else {
+      outcome.generations = settings.generations;  // a fixed sweep; never stops early
+    }
   };
+
+  // The phase-I cap kept sensible for small total budgets (SACGA, and
+  // MESACGA when its span is derived from the budget).
+  const std::size_t short_phase1 = std::min<std::size_t>(
+      settings.phase1_cap, std::max<std::size_t>(settings.generations / 4, 1));
 
   const auto start = Clock::now();
   obs::ScopedTimer run_timer(sink, "run", obs::TraceLevel::Eval);
 
-  moga::Population front;
   switch (settings.algo) {
     case Algo::TPG: {
       moga::Nsga2Params params;
       params.population_size = settings.population;
       params.generations = settings.generations;
-      wire_common(params, &robust::Checkpoint::nsga2,
-                  [](const moga::Nsga2State& s) { return s.next_generation; });
-      auto result = moga::run_nsga2(guarded, params, callback);
-      front = std::move(result.front);
-      outcome.evaluations = result.evaluations;
-      record_eval_stats(result.eval_stats);
-      outcome.generations = result.generations_run;
-      outcome.interrupted = result.interrupted;
+      wire_common(params, [](const moga::Nsga2State& s) { return s.next_generation; });
+      take(moga::run_nsga2(guarded, params, callback));
       break;
     }
     case Algo::LocalOnly: {
@@ -535,14 +571,8 @@ RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
       params.axis_lo = 0.0;
       params.axis_hi = problems::kLoadMax;
       params.generations = settings.generations;
-      wire_common(params, &robust::Checkpoint::local_only,
-                  [](const sacga::LocalOnlyState& s) { return s.evolver.generation; });
-      auto result = sacga::run_local_only(guarded, params, callback);
-      front = std::move(result.front);
-      outcome.evaluations = result.evaluations;
-      record_eval_stats(result.eval_stats);
-      outcome.generations = result.generations_run;
-      outcome.interrupted = result.interrupted;
+      wire_common(params, [](const sacga::LocalOnlyState& s) { return s.evolver.generation; });
+      take(sacga::run_local_only(guarded, params, callback));
       break;
     }
     case Algo::SACGA: {
@@ -552,19 +582,11 @@ RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
       params.axis_objective = 1;
       params.axis_lo = 0.0;
       params.axis_hi = problems::kLoadMax;
-      // Keep the phase-I cap sensible for small total budgets.
-      params.phase1_max_generations = std::min<std::size_t>(
-          settings.phase1_cap, std::max<std::size_t>(settings.generations / 4, 1));
+      params.phase1_max_generations = short_phase1;
       params.span = settings.generations;
       params.span_is_total_budget = true;
-      wire_common(params, &robust::Checkpoint::sacga,
-                  [](const sacga::SacgaState& s) { return s.evolver.generation; });
-      auto result = sacga::run_sacga(guarded, params, callback);
-      front = std::move(result.front);
-      outcome.evaluations = result.evaluations;
-      record_eval_stats(result.eval_stats);
-      outcome.generations = result.generations_run;
-      outcome.interrupted = result.interrupted;
+      wire_common(params, [](const sacga::SacgaState& s) { return s.evolver.generation; });
+      take(sacga::run_sacga(guarded, params, callback));
       break;
     }
     case Algo::MESACGA: {
@@ -574,11 +596,7 @@ RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
       params.axis_objective = 1;
       params.axis_lo = 0.0;
       params.axis_hi = problems::kLoadMax;
-      params.phase1_max_generations = settings.phase1_cap;
-      if (settings.span == 0) {
-        params.phase1_max_generations = std::min<std::size_t>(
-            settings.phase1_cap, std::max<std::size_t>(settings.generations / 4, 1));
-      }
+      params.phase1_max_generations = settings.span == 0 ? short_phase1 : settings.phase1_cap;
       if (settings.span > 0) {
         params.span = settings.span;
       } else {
@@ -586,14 +604,8 @@ RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
                        "MESACGA budget must exceed the phase-I cap");
         params.total_budget = settings.generations;
       }
-      wire_common(params, &robust::Checkpoint::mesacga,
-                  [](const sacga::MesacgaState& s) { return s.evolver.generation; });
+      wire_common(params, [](const sacga::MesacgaState& s) { return s.evolver.generation; });
       auto result = sacga::run_mesacga(guarded, params, callback);
-      front = std::move(result.front);
-      outcome.evaluations = result.evaluations;
-      record_eval_stats(result.eval_stats);
-      outcome.generations = result.generations_run;
-      outcome.interrupted = result.interrupted;
       for (const auto& phase : result.phases) {
         PhaseMetric metric;
         metric.phase = phase.phase;
@@ -601,18 +613,13 @@ RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
         metric.front_area = front_area_of(to_front_samples(phase.front));
         outcome.phases.push_back(metric);
       }
+      take(std::move(result));
       break;
     }
     case Algo::Island: {
       sacga::IslandParams params = detail::island_params_from(settings);
-      wire_common(params, &robust::Checkpoint::island,
-                  [](const sacga::IslandState& s) { return s.next_generation; });
-      auto result = sacga::run_island_ga(guarded, params, callback);
-      front = std::move(result.front);
-      outcome.evaluations = result.evaluations;
-      record_eval_stats(result.eval_stats);
-      outcome.generations = result.generations_run;
-      outcome.interrupted = result.interrupted;
+      wire_common(params, [](const sacga::IslandState& s) { return s.next_generation; });
+      take(sacga::run_island_ga(guarded, params, callback));
       break;
     }
     case Algo::WeightedSum: {
@@ -623,19 +630,8 @@ RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
       // settings: weights * pop/2 * gens_per_weight ~= pop * generations.
       params.generations_per_weight = std::max<std::size_t>(
           2 * settings.generations / settings.weight_count, 1);
-      static_cast<engine::EvalKnobs&>(params) = settings;
-      params.seed = settings.seed;
-      params.sink = sink;
-      if (sink != nullptr) {
-        params.trace_hypervolume = [](const moga::Population& pop) {
-          return hypervolume_of(to_front_samples(pop));
-        };
-      }
-      auto result = moga::run_weighted_sum(guarded, params);
-      front = std::move(result.front);
-      outcome.evaluations = result.evaluations;
-      record_eval_stats(result.eval_stats);
-      outcome.generations = settings.generations;
+      wire_base(params);
+      take(moga::run_weighted_sum(guarded, params));
       break;
     }
     case Algo::SPEA2: {
@@ -643,34 +639,15 @@ RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
       params.population_size = settings.population;
       params.archive_size = settings.population;
       params.generations = settings.generations;
-      wire_common(params, &robust::Checkpoint::spea2,
-                  [](const moga::Spea2State& s) { return s.next_generation; });
-      auto result = moga::run_spea2(guarded, params, callback);
-      front = std::move(result.front);
-      outcome.evaluations = result.evaluations;
-      record_eval_stats(result.eval_stats);
-      outcome.generations = result.generations_run;
-      outcome.interrupted = result.interrupted;
+      wire_common(params, [](const moga::Spea2State& s) { return s.next_generation; });
+      take(moga::run_spea2(guarded, params, callback));
       break;
     }
   }
 
   outcome.seconds = std::chrono::duration<double>(Clock::now() - start).count();
   outcome.faults = guarded.report();
-  outcome.front = to_front_samples(front);
-  std::sort(outcome.front.begin(), outcome.front.end(),
-            [](const FrontSample& a, const FrontSample& b) { return a.cload_f < b.cload_f; });
-  outcome.front_area = front_area_of(outcome.front);
-  outcome.hypervolume_norm = hypervolume_of(outcome.front);
-
-  std::vector<double> loads;
-  loads.reserve(outcome.front.size());
-  for (const auto& s : outcome.front) loads.push_back(s.cload_f);
-  outcome.clustering_4to5 = moga::clustering_fraction(loads, 4e-12, 5e-12);
-  if (!loads.empty()) {
-    const auto [lo, hi] = std::minmax_element(loads.begin(), loads.end());
-    outcome.load_span_pf = (*hi - *lo) * 1e12;
-  }
+  detail::set_front(outcome, front);
 
   run_timer.stop();
   if (sink != nullptr && sink->enabled(obs::TraceLevel::Gen)) {

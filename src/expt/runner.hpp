@@ -22,12 +22,16 @@
 // slice boundaries (docs/serve.md, docs/engine.md).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cancel.hpp"
+#include "engine/eval_engine.hpp"
 #include "engine/eval_knobs.hpp"
 #include "moga/metrics.hpp"
 #include "moga/nsga2.hpp"
@@ -47,7 +51,34 @@ namespace anadex::expt {
 /// baselines.
 enum class Algo { TPG, LocalOnly, SACGA, MESACGA, Island, WeightedSum, SPEA2 };
 
+/// One row of the algorithm table.
+struct AlgoInfo {
+  Algo algo;
+  /// Display name; also robust::CheckpointMeta::algo, so it must never change.
+  std::string_view name;
+  /// Spelling of `anadex explore --algo` and serve's "algo" key.
+  std::string_view vocabulary;
+  /// Whether the evolver has a resumable checkpoint state.
+  bool checkpoints;
+};
+
+/// Every Algo, in enum order. Adding an evolver adds one row here.
+inline constexpr std::array<AlgoInfo, 7> kAlgos = {{
+    {Algo::TPG, "TPG(NSGA-II)", "tpg", true},
+    {Algo::LocalOnly, "LocalOnly", "localonly", true},
+    {Algo::SACGA, "SACGA", "sacga", true},
+    {Algo::MESACGA, "MESACGA", "mesacga", true},
+    {Algo::Island, "IslandGA", "island", true},
+    {Algo::WeightedSum, "WeightedSum", "wsum", false},
+    {Algo::SPEA2, "SPEA2", "spea2", true},
+}};
+
+const AlgoInfo& algo_info(Algo algo);
 std::string algo_name(Algo algo);
+
+/// Parses the algorithm vocabulary (`nsga2` is an alias of `tpg`). Throws
+/// PreconditionError `unknown algo "<name>" (expected tpg|...)` otherwise.
+Algo algo_from_name(std::string_view name);
 
 /// How a run treats an existing checkpoint chain at `checkpoint_path`.
 enum class ResumeMode {
@@ -114,9 +145,8 @@ struct RunSettings : engine::EvalKnobs {
   /// participates in the checkpoint config digest.
   std::optional<robust::FaultInjectionConfig> fault_injection;
 
-  // Checkpoint/resume (docs/robustness.md). Supported for TPG, SPEA2,
-  // LocalOnly, SACGA, MESACGA and Island; WeightedSum rejects a checkpoint
-  // path.
+  // Checkpoint/resume (docs/robustness.md). Supported for every algorithm
+  // whose kAlgos row says `checkpoints`; the others reject a checkpoint path.
   std::string checkpoint_path;         ///< empty = no checkpointing
   std::size_t checkpoint_every = 50;   ///< generations between snapshots
   ResumeMode resume = ResumeMode::Off;
@@ -236,10 +266,43 @@ std::string run_config_digest(const RunSettings& settings);
 
 namespace detail {
 
+/// The identity a checkpoint of `settings` carries (algo display name,
+/// seed, sizes, run_config_digest); a resume requires it to match.
+robust::CheckpointMeta checkpoint_meta(const RunSettings& settings);
+
+/// Stores `front` in physical units, sorted by load, with every
+/// front-derived metric — shared by run_impl and the sharded merge, so both
+/// report the same numbers for the same population.
+void set_front(RunOutcome& outcome, const moga::Population& front);
+
 /// Island-GA parameters derived from RunSettings — the ONE place the
 /// population-to-island split is computed, shared by run_impl and the
-/// shard worker so both always agree on island sizing.
+/// shard worker so both always agree on island sizing. The seed and the
+/// rest of the EvolverCommon wiring are left to the caller.
 sacga::IslandParams island_params_from(const RunSettings& settings);
+
+/// The evaluation guard chain of one run over `problem`: the chaos seam's
+/// fault injector (when settings.fault_injection is set), then the
+/// robust::GuardedProblem every evaluation goes through, then the stuck-eval
+/// watchdog's cancel token (when settings.eval_deadline_s is set), shared by
+/// the engine's deadline thread (raiser), the guard and the injector
+/// (pollers). Clean evaluators pass through untouched, so guarded runs are
+/// bit-identical to unguarded ones. Built once by run_impl and by each shard
+/// worker, so retry behaviour and fault accounting agree between them.
+class GuardChain {
+ public:
+  GuardChain(const moga::Problem& problem, const RunSettings& settings);
+
+  robust::GuardedProblem& problem() { return guarded_; }
+  /// The engine watchdog: disabled unless a deadline is set.
+  engine::EvalWatchdog watchdog();
+
+ private:
+  std::shared_ptr<robust::FaultInjectingProblem> injector_;
+  robust::GuardedProblem guarded_;
+  CancelToken cancel_;
+  std::optional<double> deadline_s_;
+};
 
 /// The single-slice execution engine behind Job::run_slice: validates,
 /// wires tracing/guard/watchdog/checkpointing and dispatches one

@@ -1,10 +1,13 @@
 #include "robust/checkpoint.hpp"
 
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
@@ -29,6 +32,12 @@ using textio::parse_double;
 using textio::parse_u64;
 
 constexpr const char* kHeader = "anadex-checkpoint v2";
+
+/// The `state` record's kind name of each CheckpointState alternative, by
+/// variant index (monostate has none).
+constexpr std::array<std::string_view, 7> kStateKinds = {
+    "", "nsga2", "spea2", "local-only", "sacga", "mesacga", "island"};
+static_assert(kStateKinds.size() == std::variant_size_v<CheckpointState>);
 
 std::string one_line(const std::string& text) {
   std::string clean = text;
@@ -90,6 +99,22 @@ sacga::EvolverSnapshot read_evolver(LineReader& reader, std::istream& is) {
   return ev;
 }
 
+/// Builds a std::visit visitor out of one lambda per alternative.
+template <class... F>
+struct Overloaded : F... {
+  using F::operator()...;
+};
+
+/// The default-constructed alternative whose kind name is `kind`.
+CheckpointState empty_state(const std::string& kind) {
+  CheckpointState state;
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    ((kind == kStateKinds[I] ? (void)state.emplace<I>() : (void)0), ...);
+  }(std::make_index_sequence<kStateKinds.size()>{});
+  ANADEX_REQUIRE(state.index() != 0, "checkpoint: unknown state kind '" + kind + "'");
+  return state;
+}
+
 std::string checksum_hex(std::uint64_t hash) {
   std::ostringstream os;
   os << std::hex << std::setfill('0') << std::setw(16) << hash;
@@ -98,7 +123,7 @@ std::string checksum_hex(std::uint64_t hash) {
 
 /// Serializes everything through the "end" line (the checksummed bytes).
 void save_checkpoint_body(std::ostream& os, const Checkpoint& cp) {
-  const std::string kind = cp.state_kind();  // validates exactly-one-state
+  const std::string kind = cp.state_kind();  // rejects a stateless checkpoint
 
   os << kHeader << '\n';
   os << "meta " << one_line(cp.meta.algo) << ' ' << cp.meta.seed << ' ' << cp.meta.population
@@ -119,44 +144,46 @@ void save_checkpoint_body(std::ostream& os, const Checkpoint& cp) {
   }
 
   os << "state " << kind << '\n';
-  if (cp.nsga2) {
-    const auto& st = *cp.nsga2;
-    os << "nsga2 " << st.next_generation << ' ' << st.evaluations << '\n';
-    write_rng(os, st.rng);
-    moga::save_population_exact(os, st.parents);
-  } else if (cp.spea2) {
-    const auto& st = *cp.spea2;
-    os << "spea2 " << st.next_generation << ' ' << st.evaluations << '\n';
-    write_rng(os, st.rng);
-    moga::save_population_exact(os, st.population);
-    moga::save_population_exact(os, st.archive);
-  } else if (cp.local_only) {
-    write_evolver(os, cp.local_only->evolver);
-  } else if (cp.sacga) {
-    const auto& st = *cp.sacga;
-    os << "sacga " << (st.phase1_done ? 1 : 0) << ' ' << st.phase1_generations << '\n';
-    write_evolver(os, st.evolver);
-  } else if (cp.mesacga) {
-    const auto& st = *cp.mesacga;
-    os << "mesacga " << (st.phase1_done ? 1 : 0) << ' ' << st.phase1_generations << ' '
-       << st.phases.size() << '\n';
-    write_evolver(os, st.evolver);
-    for (const sacga::PhaseSnapshot& phase : st.phases) {
-      os << "phase " << phase.phase << ' ' << phase.partitions << ' ' << phase.generation
-         << '\n';
-      moga::save_population_exact(os, phase.front);
-    }
-  } else {
-    const auto& st = *cp.island;
-    ANADEX_REQUIRE(st.islands.size() == st.rngs.size(),
-                   "island state: islands/rngs size mismatch");
-    os << "island " << st.islands.size() << ' ' << st.next_generation << ' ' << st.evaluations
-       << ' ' << st.migrations << '\n';
-    for (std::size_t i = 0; i < st.islands.size(); ++i) {
-      write_rng(os, st.rngs[i]);
-      moga::save_population_exact(os, st.islands[i]);
-    }
-  }
+  const Overloaded write{
+    [](const std::monostate&) {},
+    [&](const moga::Nsga2State& st) {
+      os << "nsga2 " << st.next_generation << ' ' << st.evaluations << '\n';
+      write_rng(os, st.rng);
+      moga::save_population_exact(os, st.parents);
+    },
+    [&](const moga::Spea2State& st) {
+      os << "spea2 " << st.next_generation << ' ' << st.evaluations << '\n';
+      write_rng(os, st.rng);
+      moga::save_population_exact(os, st.population);
+      moga::save_population_exact(os, st.archive);
+    },
+    [&](const sacga::LocalOnlyState& st) { write_evolver(os, st.evolver); },
+    [&](const sacga::SacgaState& st) {
+      os << "sacga " << (st.phase1_done ? 1 : 0) << ' ' << st.phase1_generations << '\n';
+      write_evolver(os, st.evolver);
+    },
+    [&](const sacga::MesacgaState& st) {
+      os << "mesacga " << (st.phase1_done ? 1 : 0) << ' ' << st.phase1_generations << ' '
+         << st.phases.size() << '\n';
+      write_evolver(os, st.evolver);
+      for (const sacga::PhaseSnapshot& phase : st.phases) {
+        os << "phase " << phase.phase << ' ' << phase.partitions << ' ' << phase.generation
+           << '\n';
+        moga::save_population_exact(os, phase.front);
+      }
+    },
+    [&](const sacga::IslandState& st) {
+      ANADEX_REQUIRE(st.islands.size() == st.rngs.size(),
+                     "island state: islands/rngs size mismatch");
+      os << "island " << st.islands.size() << ' ' << st.next_generation << ' '
+         << st.evaluations << ' ' << st.migrations << '\n';
+      for (std::size_t i = 0; i < st.islands.size(); ++i) {
+        write_rng(os, st.rngs[i]);
+        moga::save_population_exact(os, st.islands[i]);
+      }
+    },
+  };
+  std::visit(write, cp.state);
   os << "end\n";
 }
 
@@ -205,70 +232,63 @@ Checkpoint parse_checkpoint_body(std::istream& is) {
   }
 
   const auto state = reader.record("state", 1);
-  const std::string& kind = state[1];
-  if (kind == "nsga2") {
-    moga::Nsga2State st;
-    const auto toks = reader.record("nsga2", 2);
-    st.next_generation = parse_u64(toks[1]);
-    st.evaluations = parse_u64(toks[2]);
-    st.rng = read_rng(reader);
-    st.parents = moga::load_population_exact(is);
-    cp.nsga2 = std::move(st);
-  } else if (kind == "spea2") {
-    moga::Spea2State st;
-    const auto toks = reader.record("spea2", 2);
-    st.next_generation = parse_u64(toks[1]);
-    st.evaluations = parse_u64(toks[2]);
-    st.rng = read_rng(reader);
-    st.population = moga::load_population_exact(is);
-    st.archive = moga::load_population_exact(is);
-    cp.spea2 = std::move(st);
-  } else if (kind == "local-only") {
-    sacga::LocalOnlyState st;
-    st.evolver = read_evolver(reader, is);
-    cp.local_only = std::move(st);
-  } else if (kind == "sacga") {
-    sacga::SacgaState st;
-    const auto toks = reader.record("sacga", 2);
-    st.phase1_done = parse_u64(toks[1]) != 0;
-    st.phase1_generations = parse_u64(toks[2]);
-    st.evolver = read_evolver(reader, is);
-    cp.sacga = std::move(st);
-  } else if (kind == "mesacga") {
-    sacga::MesacgaState st;
-    const auto toks = reader.record("mesacga", 3);
-    st.phase1_done = parse_u64(toks[1]) != 0;
-    st.phase1_generations = parse_u64(toks[2]);
-    const std::size_t n_phases = parse_u64(toks[3]);
-    st.evolver = read_evolver(reader, is);
-    st.phases.reserve(n_phases);
-    for (std::size_t i = 0; i < n_phases; ++i) {
-      const auto ph = reader.record("phase", 3);
-      sacga::PhaseSnapshot phase;
-      phase.phase = parse_u64(ph[1]);
-      phase.partitions = parse_u64(ph[2]);
-      phase.generation = parse_u64(ph[3]);
-      phase.front = moga::load_population_exact(is);
-      st.phases.push_back(std::move(phase));
-    }
-    cp.mesacga = std::move(st);
-  } else if (kind == "island") {
-    sacga::IslandState st;
-    const auto toks = reader.record("island", 4);
-    const std::size_t n_islands = parse_u64(toks[1]);
-    st.next_generation = parse_u64(toks[2]);
-    st.evaluations = parse_u64(toks[3]);
-    st.migrations = parse_u64(toks[4]);
-    st.rngs.reserve(n_islands);
-    st.islands.reserve(n_islands);
-    for (std::size_t i = 0; i < n_islands; ++i) {
-      st.rngs.push_back(read_rng(reader));
-      st.islands.push_back(moga::load_population_exact(is));
-    }
-    cp.island = std::move(st);
-  } else {
-    ANADEX_REQUIRE(false, "checkpoint: unknown state kind '" + kind + "'");
-  }
+  cp.state = empty_state(state[1]);
+  const Overloaded read{
+    [](std::monostate&) {},
+    [&](moga::Nsga2State& st) {
+      const auto toks = reader.record("nsga2", 2);
+      st.next_generation = parse_u64(toks[1]);
+      st.evaluations = parse_u64(toks[2]);
+      st.rng = read_rng(reader);
+      st.parents = moga::load_population_exact(is);
+    },
+    [&](moga::Spea2State& st) {
+      const auto toks = reader.record("spea2", 2);
+      st.next_generation = parse_u64(toks[1]);
+      st.evaluations = parse_u64(toks[2]);
+      st.rng = read_rng(reader);
+      st.population = moga::load_population_exact(is);
+      st.archive = moga::load_population_exact(is);
+    },
+    [&](sacga::LocalOnlyState& st) { st.evolver = read_evolver(reader, is); },
+    [&](sacga::SacgaState& st) {
+      const auto toks = reader.record("sacga", 2);
+      st.phase1_done = parse_u64(toks[1]) != 0;
+      st.phase1_generations = parse_u64(toks[2]);
+      st.evolver = read_evolver(reader, is);
+    },
+    [&](sacga::MesacgaState& st) {
+      const auto toks = reader.record("mesacga", 3);
+      st.phase1_done = parse_u64(toks[1]) != 0;
+      st.phase1_generations = parse_u64(toks[2]);
+      const std::size_t n_phases = parse_u64(toks[3]);
+      st.evolver = read_evolver(reader, is);
+      st.phases.reserve(n_phases);
+      for (std::size_t i = 0; i < n_phases; ++i) {
+        const auto ph = reader.record("phase", 3);
+        sacga::PhaseSnapshot phase;
+        phase.phase = parse_u64(ph[1]);
+        phase.partitions = parse_u64(ph[2]);
+        phase.generation = parse_u64(ph[3]);
+        phase.front = moga::load_population_exact(is);
+        st.phases.push_back(std::move(phase));
+      }
+    },
+    [&](sacga::IslandState& st) {
+      const auto toks = reader.record("island", 4);
+      const std::size_t n_islands = parse_u64(toks[1]);
+      st.next_generation = parse_u64(toks[2]);
+      st.evaluations = parse_u64(toks[3]);
+      st.migrations = parse_u64(toks[4]);
+      st.rngs.reserve(n_islands);
+      st.islands.reserve(n_islands);
+      for (std::size_t i = 0; i < n_islands; ++i) {
+        st.rngs.push_back(read_rng(reader));
+        st.islands.push_back(moga::load_population_exact(is));
+      }
+    },
+  };
+  std::visit(read, cp.state);
 
   ANADEX_REQUIRE(reader.line("checkpoint trailer") == "end",
                  "checkpoint: missing 'end' trailer");
@@ -311,15 +331,8 @@ void sync_parent_dir(const std::string& path) {
 }  // namespace
 
 std::string Checkpoint::state_kind() const {
-  const int present = (nsga2 ? 1 : 0) + (spea2 ? 1 : 0) + (local_only ? 1 : 0) +
-                      (sacga ? 1 : 0) + (mesacga ? 1 : 0) + (island ? 1 : 0);
-  ANADEX_REQUIRE(present == 1, "checkpoint must hold exactly one algorithm state");
-  if (nsga2) return "nsga2";
-  if (spea2) return "spea2";
-  if (local_only) return "local-only";
-  if (sacga) return "sacga";
-  if (mesacga) return "mesacga";
-  return "island";
+  ANADEX_REQUIRE(state.index() != 0, "checkpoint must hold an algorithm state");
+  return std::string(kStateKinds[state.index()]);
 }
 
 void save_checkpoint(std::ostream& os, const Checkpoint& cp) {

@@ -3,7 +3,7 @@
 // A checkpoint captures everything needed to resume a run bit-identically:
 // the meta description of the run (algorithm, seed, sizes, a config digest
 // that must match on resume), the cumulative fault report, the history
-// samples recorded so far, and exactly one algorithm state (population(s),
+// samples recorded so far, and one algorithm state (population(s),
 // rank/crowding bookkeeping, full RNG state, phase/annealing position).
 //
 // File format (line-oriented text, doubles as bit-exact hex-floats):
@@ -38,6 +38,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "moga/nsga2.hpp"
@@ -73,25 +74,28 @@ struct HistorySample {
   bool operator==(const HistorySample&) const = default;
 };
 
-/// A complete checkpoint: meta + faults + history + exactly one state.
+/// The one algorithm state a checkpoint carries. The alternatives after
+/// monostate are listed in the order of their `state` kind names
+/// ("nsga2", "spea2", "local-only", "sacga", "mesacga", "island").
+using CheckpointState =
+    std::variant<std::monostate, moga::Nsga2State, moga::Spea2State,
+                 sacga::LocalOnlyState, sacga::SacgaState, sacga::MesacgaState,
+                 sacga::IslandState>;
+
+/// A complete checkpoint: meta + faults + history + one algorithm state.
 struct Checkpoint {
   CheckpointMeta meta;
   FaultReport faults;
   std::vector<HistorySample> history;
+  CheckpointState state;  ///< monostate until a state is assigned
 
-  std::optional<moga::Nsga2State> nsga2;
-  std::optional<moga::Spea2State> spea2;
-  std::optional<sacga::LocalOnlyState> local_only;
-  std::optional<sacga::SacgaState> sacga;
-  std::optional<sacga::MesacgaState> mesacga;
-  std::optional<sacga::IslandState> island;
-
-  /// Name of the state actually present ("nsga2", "spea2", "local-only", ...).
+  /// Kind name of the held state ("nsga2", "spea2", "local-only", ...).
+  /// Throws PreconditionError when no state is held.
   std::string state_kind() const;
 };
 
-/// Serializes `checkpoint` (which must hold exactly one state), including
-/// the checksum trailer.
+/// Serializes `checkpoint` (which must hold a state), including the
+/// checksum trailer.
 void save_checkpoint(std::ostream& os, const Checkpoint& checkpoint);
 
 /// Parses and checksum-verifies a checkpoint stream. Throws

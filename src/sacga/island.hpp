@@ -10,9 +10,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "engine/engine_lease.hpp"
 #include "engine/evolver_common.hpp"
 #include "moga/nds.hpp"
 #include "moga/nsga2.hpp"
@@ -62,26 +64,63 @@ struct IslandResult {
 IslandResult run_island_ga(const moga::Problem& problem, const IslandParams& params,
                            const moga::GenerationCallback& on_generation = {});
 
-// --- island primitives, shared with the sharded runner (src/shard) ---
-// run_island_ga and the shard worker both build their generation step out of
-// these three helpers, so a shard-local island competes, emigrates and
-// receives byte-identically to the same island inside a solo run.
+/// The island GA's evolving core over an arc of the migration ring: the
+/// arc's island populations, their private RNG streams and the cumulative
+/// counters. run_island_ga drives it over the whole ring and a shard worker
+/// (src/shard) over the arc it owns, so a shard-local island starts,
+/// breeds, competes and migrates byte-identically to the same island inside
+/// a solo run — by construction, not by mirrored code.
+class IslandArc {
+ public:
+  /// Ring edges that leave or enter the arc (unused when it is the whole
+  /// ring): `send(island, emigrants)` ships the emigrants of an owned island
+  /// whose successor lies outside the arc; `receive(island)` returns what
+  /// `island`, the outside predecessor of an owned island, sent to it.
+  using Send = std::function<void(std::size_t, const moga::Population&)>;
+  using Receive = std::function<moga::Population(std::size_t)>;
 
-/// NSGA-II elitist survivor selection over one island's parent+offspring
-/// pool (all members already evaluated). Leaves `island` ranked with
-/// crowding distances assigned.
-void island_select_survivors(moga::Population& island, moga::Population&& pool,
-                             std::size_t n, moga::RankingScratch& ranking);
+  /// `owned` lists the arc's ring indices, ascending. With params.resume
+  /// set, continues from that state, which must hold exactly the owned
+  /// islands with params.island_population members each (PreconditionError
+  /// naming the island otherwise). Without, starts fresh: splits EVERY
+  /// island's private stream from params.seed in ring order, then draws,
+  /// evaluates (one batch per island) and ranks the owned islands. `params`
+  /// and `eval` must outlive the arc.
+  IslandArc(const IslandParams& params, std::vector<std::size_t> owned,
+            const engine::EngineLease& eval);
 
-/// The `migrants` ring-travelling copies of `island`, best first ("best" =
-/// crowded_less order: rank 0 with the largest crowding). The island itself
-/// is untouched — migration sends copies.
-moga::Population island_emigrants(const moga::Population& island, std::size_t migrants);
+  /// One generation: every island breeds from its own stream, the arc's
+  /// offspring are evaluated as ONE batch, and each island keeps its
+  /// NSGA-II elitist survivors.
+  void step();
 
-/// Ring-migration arrival: the immigrants (best first, as produced by
-/// island_emigrants) replace the worst members of `destination`, worst
-/// replaced first. Order-sensitive by contract — callers must integrate a
-/// full epoch's emigrant selection before any island receives.
-void island_immigrate(moga::Population& destination, moga::Population immigrants);
+  /// Ring migration: the `migrants` best of each island (rank 0, most
+  /// isolated) replace the worst of its ring successor. Every owned
+  /// island's emigrants are selected before any island receives, and every
+  /// `send` happens before the first `receive`.
+  void migrate(const Send& send = {}, const Receive& receive = {});
+
+  std::size_t next_generation() const { return next_generation_; }
+  std::size_t evaluations() const { return evaluations_; }
+  std::size_t migrations() const { return migrations_; }
+  /// The union of the owned islands, in ring-index order.
+  moga::Population combined() const;
+  IslandState state() const;
+
+ private:
+  /// Position of ring island `island` in owned_, if the arc owns it.
+  std::optional<std::size_t> slot(std::size_t island) const;
+
+  const IslandParams& params_;
+  const engine::EngineLease& eval_;
+  std::vector<moga::VariableBound> bounds_;
+  std::vector<std::size_t> owned_;
+  std::vector<moga::Population> islands_;  ///< parallel to owned_
+  std::vector<Rng> rngs_;                  ///< parallel to owned_
+  std::size_t next_generation_ = 0;
+  std::size_t evaluations_ = 0;
+  std::size_t migrations_ = 0;
+  moga::RankingScratch ranking_;  ///< SoA buffers shared by all islands
+};
 
 }  // namespace anadex::sacga

@@ -159,21 +159,6 @@ std::size_t as_size(const std::string& key, const Value& value) {
   return static_cast<std::size_t>(value.uint);
 }
 
-expt::Algo algo_from_request(const std::string& name) {
-  // Same vocabulary as the anadex CLI's --algo flag.
-  if (name == "tpg" || name == "nsga2") return expt::Algo::TPG;
-  if (name == "localonly") return expt::Algo::LocalOnly;
-  if (name == "sacga") return expt::Algo::SACGA;
-  if (name == "mesacga") return expt::Algo::MESACGA;
-  if (name == "island") return expt::Algo::Island;
-  if (name == "wsum") return expt::Algo::WeightedSum;
-  if (name == "spea2") return expt::Algo::SPEA2;
-  ANADEX_REQUIRE(false, "job request: unknown algo \"" + name +
-                            "\" (expected tpg|localonly|sacga|mesacga|island|"
-                            "wsum|spea2)");
-  return expt::Algo::TPG;
-}
-
 scint::Spec spec_from_request(const Value& value) {
   if (value.kind == Value::Kind::Str) {
     ANADEX_REQUIRE(value.str == "chosen",
@@ -227,7 +212,7 @@ JobRequest parse_job_request(const std::string& line) {
                      "characters [A-Za-z0-9_.-] and must not start with '.'");
       saw_id = true;
     } else if (key == "algo") {
-      s.algo = algo_from_request(as_string(key, value));
+      s.algo = expt::algo_from_name(as_string(key, value));
       saw_algo = true;
     } else if (key == "spec") {
       s.spec = spec_from_request(value);

@@ -9,11 +9,11 @@
 #include <sstream>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/textio.hpp"
-#include "moga/metrics.hpp"
 #include "moga/nsga2.hpp"
 #include "robust/checkpoint.hpp"
 #include "shard/migrants.hpp"
@@ -89,15 +89,18 @@ StartPlan prepare_spool(const expt::RunSettings& settings, const Topology& topo,
   for (std::size_t k = 0; k < topo.shards && partials_ok; ++k) {
     const auto recovered =
         robust::recover_checkpoint((dir / shard_checkpoint_name(k)).string());
-    if (!recovered.has_value() || !recovered->checkpoint.island.has_value() ||
+    const sacga::IslandState* partial =
+        recovered.has_value() ? std::get_if<sacga::IslandState>(&recovered->checkpoint.state)
+                              : nullptr;
+    if (partial == nullptr ||
         recovered->checkpoint.meta.config != shard_config_digest(settings, topo, k) ||
         recovered->checkpoint.meta.seed != settings.seed ||
-        recovered->checkpoint.island->islands.size() != topo.islands_of(k).size()) {
+        partial->islands.size() != topo.islands_of(k).size()) {
       partials_ok = false;
       break;
     }
-    newest = std::max(newest, recovered->checkpoint.island->next_generation);
-    oldest = std::min(oldest, recovered->checkpoint.island->next_generation);
+    newest = std::max(newest, partial->next_generation);
+    oldest = std::min(oldest, partial->next_generation);
   }
   if (partials_ok && settings.resume == expt::ResumeMode::Auto) {
     StartPlan plan;
@@ -125,19 +128,15 @@ StartPlan prepare_spool(const expt::RunSettings& settings, const Topology& topo,
     canonical_path = recovered->path;
   }
 
-  robust::CheckpointMeta solo_meta;
-  solo_meta.algo = expt::algo_name(settings.algo);
-  solo_meta.seed = settings.seed;
-  solo_meta.population = settings.population;
-  solo_meta.generations = settings.generations;
-  solo_meta.config = expt::run_config_digest(settings);
+  const robust::CheckpointMeta solo_meta = expt::detail::checkpoint_meta(settings);
   ANADEX_REQUIRE(canonical.meta == solo_meta,
                  "sharded resume: canonical checkpoint '" + canonical_path +
                      "' was written by a different run configuration");
-  ANADEX_REQUIRE(canonical.island.has_value(),
+  const auto* whole_ptr = std::get_if<sacga::IslandState>(&canonical.state);
+  ANADEX_REQUIRE(whole_ptr != nullptr,
                  "sharded resume: canonical checkpoint '" + canonical_path +
                      "' holds no island state (wrong algorithm?)");
-  const sacga::IslandState& whole = *canonical.island;
+  const sacga::IslandState& whole = *whole_ptr;
   ANADEX_REQUIRE(whole.islands.size() == topo.islands &&
                      whole.rngs.size() == topo.islands,
                  "sharded resume: canonical island count does not match --islands");
@@ -164,7 +163,7 @@ StartPlan prepare_spool(const expt::RunSettings& settings, const Topology& topo,
     // remainder". Any split summing to the total merges back identically;
     // this one is deterministic and topology-independent to re-slice.
     slice.evaluations = (k == 0) ? whole.evaluations : 0;
-    partial.island = std::move(slice);
+    partial.state = std::move(slice);
     robust::write_checkpoint_file((dir / shard_checkpoint_name(k)).string(), partial,
                                   seed_options);
   }
@@ -422,8 +421,9 @@ expt::RunOutcome run_sharded(const problems::IntegratorProblem& problem,
     ANADEX_REQUIRE(cp.meta.config == shard_config_digest(settings, topo, k),
                    "shard " + std::to_string(k) +
                        " state belongs to a different run configuration");
-    ANADEX_REQUIRE(cp.island.has_value(), "shard state holds no island block");
-    sacga::IslandState& state = *cp.island;
+    auto* state_ptr = std::get_if<sacga::IslandState>(&cp.state);
+    ANADEX_REQUIRE(state_ptr != nullptr, "shard state holds no island block");
+    sacga::IslandState& state = *state_ptr;
     const std::vector<std::size_t> owned = topo.islands_of(k);
     ANADEX_REQUIRE(state.islands.size() == owned.size() &&
                        state.rngs.size() == owned.size(),
@@ -448,28 +448,13 @@ expt::RunOutcome run_sharded(const problems::IntegratorProblem& problem,
   }
   merged.migrations = migrations;
 
-  // Epilogue — the same math as expt::detail::run_impl over the reassembled
-  // global population, so every derived metric matches the solo run.
+  // Epilogue — the solo run's front metrics (expt::detail::set_front) over
+  // the reassembled global population.
   moga::Population combined;
   for (const auto& island : merged.islands) {
     combined.insert(combined.end(), island.begin(), island.end());
   }
-  const moga::Population front = moga::extract_global_front(combined);
-  outcome.front = expt::to_front_samples(front);
-  std::sort(outcome.front.begin(), outcome.front.end(),
-            [](const expt::FrontSample& a, const expt::FrontSample& b) {
-              return a.cload_f < b.cload_f;
-            });
-  outcome.front_area = expt::front_area_of(outcome.front);
-  outcome.hypervolume_norm = expt::hypervolume_of(outcome.front);
-  std::vector<double> loads;
-  loads.reserve(outcome.front.size());
-  for (const auto& sample : outcome.front) loads.push_back(sample.cload_f);
-  outcome.clustering_4to5 = moga::clustering_fraction(loads, 4e-12, 5e-12);
-  if (!loads.empty()) {
-    const auto [lo, hi] = std::minmax_element(loads.begin(), loads.end());
-    outcome.load_span_pf = (*hi - *lo) * 1e12;
-  }
+  expt::detail::set_front(outcome, moga::extract_global_front(combined));
   outcome.evaluations = merged.evaluations;
   outcome.generations = merged.next_generation;
   outcome.faults = merged_faults;
@@ -482,13 +467,9 @@ expt::RunOutcome run_sharded(const problems::IntegratorProblem& problem,
   // at any shard count.
   if (!settings.checkpoint_path.empty()) {
     robust::Checkpoint canonical;
-    canonical.meta.algo = expt::algo_name(settings.algo);
-    canonical.meta.seed = settings.seed;
-    canonical.meta.population = settings.population;
-    canonical.meta.generations = settings.generations;
-    canonical.meta.config = expt::run_config_digest(settings);
+    canonical.meta = expt::detail::checkpoint_meta(settings);
     canonical.faults = merged_faults;
-    canonical.island = std::move(merged);
+    canonical.state = std::move(merged);
     robust::CheckpointWriteOptions cp_options;
     cp_options.keep = settings.checkpoint_keep;
     cp_options.fsync = options.fsync;

@@ -38,7 +38,7 @@ namespace anadex::shard {
 std::string migrant_file_name(std::size_t epoch, std::size_t from_island);
 
 /// Atomically publishes `migrants` (best first, as selected by
-/// sacga::island_emigrants) into `dir`. Safe to call again after a crash
+/// sacga::IslandArc::migrate) into `dir`. Safe to call again after a crash
 /// replay — the rewrite is byte-identical and the rename atomic. `fsync`
 /// gates only the flush-to-disk step (a durability knob, never a result
 /// knob): off for benchmarks measuring pure scale-out, on everywhere else.

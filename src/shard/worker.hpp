@@ -1,12 +1,11 @@
 // Shard worker: one process/thread's slice of a sharded island-GA run.
 //
 // A worker owns a contiguous arc of the island ring (shard/topology.hpp)
-// and evolves exactly those islands with the SAME primitives as the solo
-// run — sacga::island_select_survivors / island_emigrants /
-// island_immigrate and one EngineLease batch per generation — so every
-// owned island's byte stream is identical to the same island inside
-// run_island_ga. Cross-shard ring edges are exchanged through migrant
-// files at migration-epoch barriers (shard/barrier.hpp).
+// and drives the same island core as the solo run, sacga::IslandArc, over
+// exactly those islands, so every owned island's byte stream is identical
+// to the same island inside run_island_ga. Cross-shard ring edges are
+// exchanged through migrant files at migration-epoch barriers
+// (shard/barrier.hpp).
 //
 // Durability: the worker checkpoints its partial state (owned islands +
 // their RNG streams + shard-local counters) into its own rotated v2
@@ -32,8 +31,8 @@ namespace anadex::shard {
 
 /// Chaos seam for the kill-one-shard drill (tests; mirrors ChaosPlan's
 /// kill_generation): the named shard throws robust::InjectedCrash at the
-/// named epoch AFTER publishing its migrant files but BEFORE integrating —
-/// the nastiest instant, mid-exchange. Armed only on a worker's first life;
+/// named epoch AFTER publishing its migrant files but BEFORE receiving its
+/// peers' — the nastiest instant, mid-exchange. Armed only on a worker's first life;
 /// the supervisor's relaunch then proves crash recovery.
 struct WorkerChaos {
   std::size_t shard = 0;

@@ -6,12 +6,16 @@
 #include "common/check.hpp"
 #include "expt/figures.hpp"
 #include "problems/spec_suite.hpp"
+#include "serve/job_request.hpp"
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace anadex::expt {
 namespace {
@@ -37,6 +41,44 @@ TEST(AlgoName, AllNamed) {
   EXPECT_EQ(algo_name(Algo::LocalOnly), "LocalOnly");
   EXPECT_EQ(algo_name(Algo::SACGA), "SACGA");
   EXPECT_EQ(algo_name(Algo::MESACGA), "MESACGA");
+}
+
+TEST(AlgoTable, VocabularyRoundTripsEveryAlgo) {
+  for (const AlgoInfo& info : kAlgos) {
+    EXPECT_EQ(algo_from_name(info.vocabulary), info.algo) << info.vocabulary;
+    EXPECT_EQ(algo_info(info.algo).vocabulary, info.vocabulary);
+  }
+  EXPECT_EQ(algo_from_name("nsga2"), Algo::TPG);
+}
+
+TEST(AlgoTable, DisplayNamesAreTheCheckpointMetaStrings) {
+  // CheckpointMeta::algo stores these verbatim, so renaming one would make
+  // every checkpoint written under the old name unresumable.
+  const std::vector<std::pair<Algo, std::string>> expected = {
+      {Algo::TPG, "TPG(NSGA-II)"}, {Algo::LocalOnly, "LocalOnly"},
+      {Algo::SACGA, "SACGA"},      {Algo::MESACGA, "MESACGA"},
+      {Algo::Island, "IslandGA"},  {Algo::WeightedSum, "WeightedSum"},
+      {Algo::SPEA2, "SPEA2"},
+  };
+  ASSERT_EQ(expected.size(), kAlgos.size());
+  for (const auto& [algo, name] : expected) EXPECT_EQ(algo_name(algo), name);
+}
+
+TEST(AlgoTable, UnknownNameIsRejectedForCliAndServe) {
+  const auto expect_unknown = [](const std::function<void()>& parse, const char* caller) {
+    try {
+      parse();
+      ADD_FAILURE() << caller << " accepted an unknown algo";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown algo \"annealing\""), std::string::npos)
+          << caller << ": " << e.what();
+    }
+  };
+  // `anadex explore --algo` parses with algo_from_name directly.
+  expect_unknown([] { (void)algo_from_name("annealing"); }, "--algo");
+  expect_unknown(
+      [] { (void)serve::parse_job_request(R"({"id":"a","algo":"annealing","spec":1})"); },
+      "serve");
 }
 
 TEST(FrontArea, OfSyntheticFront) {

@@ -57,7 +57,7 @@ Checkpoint small_checkpoint(std::size_t generation) {
   cp.meta.generations = 8;
   moga::Nsga2State state;
   state.next_generation = generation;
-  cp.nsga2 = state;
+  cp.state = state;
   return cp;
 }
 
@@ -76,7 +76,7 @@ TEST(ChaosHook, CrashesOnTheConfiguredWriteAndLeavesTheOldFileIntact) {
                InjectedCrash);
   EXPECT_EQ(*completed, 1u);
   const Checkpoint survivor = read_checkpoint_file(path);
-  EXPECT_EQ(survivor.nsga2->next_generation, 1u);
+  EXPECT_EQ(std::get<moga::Nsga2State>(survivor.state).next_generation, 1u);
   std::ifstream orphan(path + ".tmp");
   EXPECT_TRUE(orphan.good());
 
@@ -88,7 +88,7 @@ TEST(ChaosHook, CrashesOnTheConfiguredWriteAndLeavesTheOldFileIntact) {
   // The next write simply overwrites the orphaned temp file.
   CheckpointWriteOptions clean;
   write_checkpoint_file(path, small_checkpoint(3), clean);
-  EXPECT_EQ(read_checkpoint_file(path).nsga2->next_generation, 3u);
+  EXPECT_EQ(std::get<moga::Nsga2State>(read_checkpoint_file(path).state).next_generation, 3u);
 
   std::remove((path + ".tmp").c_str());
   std::remove(path.c_str());

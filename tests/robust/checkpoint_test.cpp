@@ -5,7 +5,9 @@
 #include <fstream>
 #include <iomanip>
 #include <limits>
+#include <iterator>
 #include <sstream>
+#include <variant>
 
 #include <gtest/gtest.h>
 
@@ -97,17 +99,17 @@ TEST(Checkpoint, RoundTripsNsga2State) {
   state.rng = make_rng_state(9, 1);  // odd warmup leaves a cached spare normal
   state.next_generation = 57;
   state.evaluations = 5800;
-  cp.nsga2 = state;
+  cp.state = state;
 
   const Checkpoint loaded = round_trip(cp);
   expect_common_eq(cp, loaded);
-  ASSERT_TRUE(loaded.nsga2.has_value());
+  ASSERT_TRUE(std::holds_alternative<moga::Nsga2State>(loaded.state));
   EXPECT_EQ(loaded.state_kind(), "nsga2");
-  EXPECT_EQ(loaded.nsga2->rng, state.rng);
-  EXPECT_TRUE(loaded.nsga2->rng.has_spare_normal);
-  EXPECT_EQ(loaded.nsga2->next_generation, 57u);
-  EXPECT_EQ(loaded.nsga2->evaluations, 5800u);
-  expect_population_eq(loaded.nsga2->parents, state.parents);
+  EXPECT_EQ(std::get<moga::Nsga2State>(loaded.state).rng, state.rng);
+  EXPECT_TRUE(std::get<moga::Nsga2State>(loaded.state).rng.has_spare_normal);
+  EXPECT_EQ(std::get<moga::Nsga2State>(loaded.state).next_generation, 57u);
+  EXPECT_EQ(std::get<moga::Nsga2State>(loaded.state).evaluations, 5800u);
+  expect_population_eq(std::get<moga::Nsga2State>(loaded.state).parents, state.parents);
 }
 
 TEST(Checkpoint, RestoredRngContinuesTheSameStream) {
@@ -117,11 +119,11 @@ TEST(Checkpoint, RestoredRngContinuesTheSameStream) {
   moga::Nsga2State state;
   state.parents = make_population();
   state.rng = original.state();
-  cp.nsga2 = state;
+  cp.state = state;
 
   const Checkpoint loaded = round_trip(cp);
   Rng restored(1);
-  restored.set_state(loaded.nsga2->rng);
+  restored.set_state(std::get<moga::Nsga2State>(loaded.state).rng);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(restored(), original());
     EXPECT_EQ(restored.normal(), original.normal());
@@ -137,17 +139,17 @@ TEST(Checkpoint, RoundTripsSpea2State) {
   state.rng = make_rng_state(11, 1);
   state.next_generation = 33;
   state.evaluations = 3400;
-  cp.spea2 = state;
+  cp.state = state;
 
   const Checkpoint loaded = round_trip(cp);
   expect_common_eq(cp, loaded);
-  ASSERT_TRUE(loaded.spea2.has_value());
+  ASSERT_TRUE(std::holds_alternative<moga::Spea2State>(loaded.state));
   EXPECT_EQ(loaded.state_kind(), "spea2");
-  EXPECT_EQ(loaded.spea2->rng, state.rng);
-  EXPECT_EQ(loaded.spea2->next_generation, 33u);
-  EXPECT_EQ(loaded.spea2->evaluations, 3400u);
-  expect_population_eq(loaded.spea2->population, state.population);
-  expect_population_eq(loaded.spea2->archive, state.archive);
+  EXPECT_EQ(std::get<moga::Spea2State>(loaded.state).rng, state.rng);
+  EXPECT_EQ(std::get<moga::Spea2State>(loaded.state).next_generation, 33u);
+  EXPECT_EQ(std::get<moga::Spea2State>(loaded.state).evaluations, 3400u);
+  expect_population_eq(std::get<moga::Spea2State>(loaded.state).population, state.population);
+  expect_population_eq(std::get<moga::Spea2State>(loaded.state).archive, state.archive);
 }
 
 TEST(Checkpoint, RoundTripsSacgaStateWithDiscardedPartitions) {
@@ -161,18 +163,18 @@ TEST(Checkpoint, RoundTripsSacgaStateWithDiscardedPartitions) {
   state.evolver.generation = 87;
   state.phase1_done = true;
   state.phase1_generations = 12;
-  cp.sacga = state;
+  cp.state = state;
 
   const Checkpoint loaded = round_trip(cp);
   expect_common_eq(cp, loaded);
-  ASSERT_TRUE(loaded.sacga.has_value());
-  EXPECT_EQ(loaded.sacga->evolver.discarded, state.evolver.discarded);
-  EXPECT_EQ(loaded.sacga->evolver.partitions, 5u);
-  EXPECT_EQ(loaded.sacga->evolver.rng, state.evolver.rng);
-  EXPECT_EQ(loaded.sacga->evolver.generation, 87u);
-  EXPECT_TRUE(loaded.sacga->phase1_done);
-  EXPECT_EQ(loaded.sacga->phase1_generations, 12u);
-  expect_population_eq(loaded.sacga->evolver.population, state.evolver.population);
+  ASSERT_TRUE(std::holds_alternative<sacga::SacgaState>(loaded.state));
+  EXPECT_EQ(std::get<sacga::SacgaState>(loaded.state).evolver.discarded, state.evolver.discarded);
+  EXPECT_EQ(std::get<sacga::SacgaState>(loaded.state).evolver.partitions, 5u);
+  EXPECT_EQ(std::get<sacga::SacgaState>(loaded.state).evolver.rng, state.evolver.rng);
+  EXPECT_EQ(std::get<sacga::SacgaState>(loaded.state).evolver.generation, 87u);
+  EXPECT_TRUE(std::get<sacga::SacgaState>(loaded.state).phase1_done);
+  EXPECT_EQ(std::get<sacga::SacgaState>(loaded.state).phase1_generations, 12u);
+  expect_population_eq(std::get<sacga::SacgaState>(loaded.state).evolver.population, state.evolver.population);
 }
 
 TEST(Checkpoint, RoundTripsMesacgaStateWithPhaseHistory) {
@@ -191,15 +193,15 @@ TEST(Checkpoint, RoundTripsMesacgaStateWithPhaseHistory) {
   phase.generation = 80;
   phase.front = make_population();
   state.phases.push_back(phase);
-  cp.mesacga = state;
+  cp.state = state;
 
   const Checkpoint loaded = round_trip(cp);
-  ASSERT_TRUE(loaded.mesacga.has_value());
-  ASSERT_EQ(loaded.mesacga->phases.size(), 1u);
-  EXPECT_EQ(loaded.mesacga->phases[0].phase, 1u);
-  EXPECT_EQ(loaded.mesacga->phases[0].partitions, 4u);
-  EXPECT_EQ(loaded.mesacga->phases[0].generation, 80u);
-  expect_population_eq(loaded.mesacga->phases[0].front, phase.front);
+  ASSERT_TRUE(std::holds_alternative<sacga::MesacgaState>(loaded.state));
+  ASSERT_EQ(std::get<sacga::MesacgaState>(loaded.state).phases.size(), 1u);
+  EXPECT_EQ(std::get<sacga::MesacgaState>(loaded.state).phases[0].phase, 1u);
+  EXPECT_EQ(std::get<sacga::MesacgaState>(loaded.state).phases[0].partitions, 4u);
+  EXPECT_EQ(std::get<sacga::MesacgaState>(loaded.state).phases[0].generation, 80u);
+  expect_population_eq(std::get<sacga::MesacgaState>(loaded.state).phases[0].front, phase.front);
 }
 
 TEST(Checkpoint, RoundTripsLocalOnlyAndIslandStates) {
@@ -211,10 +213,10 @@ TEST(Checkpoint, RoundTripsLocalOnlyAndIslandStates) {
     state.evolver.partitions = 3;
     state.evolver.rng = make_rng_state(2, 0);
     state.evolver.generation = 10;
-    cp.local_only = state;
+    cp.state = state;
     const Checkpoint loaded = round_trip(cp);
-    ASSERT_TRUE(loaded.local_only.has_value());
-    EXPECT_EQ(loaded.local_only->evolver.generation, 10u);
+    ASSERT_TRUE(std::holds_alternative<sacga::LocalOnlyState>(loaded.state));
+    EXPECT_EQ(std::get<sacga::LocalOnlyState>(loaded.state).evolver.generation, 10u);
   }
   {
     Checkpoint cp = base_checkpoint();
@@ -224,13 +226,13 @@ TEST(Checkpoint, RoundTripsLocalOnlyAndIslandStates) {
     state.next_generation = 64;
     state.evaluations = 9000;
     state.migrations = 2;
-    cp.island = state;
+    cp.state = state;
     const Checkpoint loaded = round_trip(cp);
-    ASSERT_TRUE(loaded.island.has_value());
-    ASSERT_EQ(loaded.island->islands.size(), 2u);
-    EXPECT_EQ(loaded.island->rngs, state.rngs);
-    EXPECT_EQ(loaded.island->migrations, 2u);
-    expect_population_eq(loaded.island->islands[1], state.islands[1]);
+    ASSERT_TRUE(std::holds_alternative<sacga::IslandState>(loaded.state));
+    ASSERT_EQ(std::get<sacga::IslandState>(loaded.state).islands.size(), 2u);
+    EXPECT_EQ(std::get<sacga::IslandState>(loaded.state).rngs, state.rngs);
+    EXPECT_EQ(std::get<sacga::IslandState>(loaded.state).migrations, 2u);
+    expect_population_eq(std::get<sacga::IslandState>(loaded.state).islands[1], state.islands[1]);
   }
 }
 
@@ -240,27 +242,26 @@ TEST(Checkpoint, NonFiniteValuesSurviveTheRoundTrip) {
   moga::Individual poisoned = make_individual(0.5, 0, moga::Individual::kInfiniteCrowding);
   poisoned.eval.objectives[1] = std::numeric_limits<double>::quiet_NaN();
   state.parents.push_back(poisoned);
-  cp.nsga2 = state;
+  cp.state = state;
 
   const Checkpoint loaded = round_trip(cp);
-  const auto& ind = loaded.nsga2->parents.at(0);
+  const auto& ind = std::get<moga::Nsga2State>(loaded.state).parents.at(0);
   EXPECT_TRUE(std::isnan(ind.eval.objectives[1]));
   EXPECT_TRUE(std::isinf(ind.crowding));
 }
 
 TEST(Checkpoint, RequiresExactlyOneState) {
+  // Two states at once cannot be expressed by the CheckpointState variant;
+  // a checkpoint with no state must still be refused.
   Checkpoint cp = base_checkpoint();
   std::stringstream stream;
-  EXPECT_THROW(save_checkpoint(stream, cp), PreconditionError);  // zero states
-  cp.nsga2 = moga::Nsga2State{};
-  cp.island = sacga::IslandState{};
-  EXPECT_THROW(save_checkpoint(stream, cp), PreconditionError);  // two states
+  EXPECT_THROW(save_checkpoint(stream, cp), PreconditionError);
 }
 
 std::string valid_checkpoint_text() {
   Checkpoint cp = base_checkpoint();
-  cp.nsga2 = moga::Nsga2State{};
-  cp.nsga2->parents = make_population();
+  cp.state = moga::Nsga2State{};
+  std::get<moga::Nsga2State>(cp.state).parents = make_population();
   std::stringstream stream;
   save_checkpoint(stream, cp);
   return stream.str();
@@ -324,7 +325,7 @@ TEST(Checkpoint, FileRoundTripIsAtomic) {
   moga::Nsga2State state;
   state.parents = make_population();
   state.rng = make_rng_state(1, 0);
-  cp.nsga2 = state;
+  cp.state = state;
 
   write_checkpoint_file(path, cp);
   // The temp staging file must not linger after the rename.
@@ -333,10 +334,126 @@ TEST(Checkpoint, FileRoundTripIsAtomic) {
 
   const Checkpoint loaded = read_checkpoint_file(path);
   expect_common_eq(cp, loaded);
-  expect_population_eq(loaded.nsga2->parents, state.parents);
+  expect_population_eq(std::get<moga::Nsga2State>(loaded.state).parents, state.parents);
   std::remove(path.c_str());
 
   EXPECT_THROW(read_checkpoint_file(path), PreconditionError);  // now missing
+}
+
+
+// --- pinned v2 byte format -------------------------------------------------
+// One fixed state per kind, saved over base_checkpoint(). The hashes were
+// recorded from the checkpoint writer before the states moved into one
+// std::variant; a renamed kind, a reordered record or a changed number
+// spelling changes them. Round-trip tests alone would not notice.
+
+CheckpointState pinned_nsga2() {
+  moga::Nsga2State st;
+  st.parents = make_population();
+  st.rng = make_rng_state(9, 1);
+  st.next_generation = 57;
+  st.evaluations = 5800;
+  return st;
+}
+
+CheckpointState pinned_spea2() {
+  moga::Spea2State st;
+  st.population = make_population();
+  st.archive = make_population();
+  st.archive.pop_back();
+  st.rng = make_rng_state(11, 1);
+  st.next_generation = 33;
+  st.evaluations = 3400;
+  return st;
+}
+
+CheckpointState pinned_local_only() {
+  sacga::LocalOnlyState st;
+  st.evolver.population = make_population();
+  st.evolver.discarded = {false, false, true};
+  st.evolver.partitions = 3;
+  st.evolver.rng = make_rng_state(2, 0);
+  st.evolver.evaluations = 777;
+  st.evolver.generation = 10;
+  return st;
+}
+
+CheckpointState pinned_sacga() {
+  sacga::SacgaState st;
+  st.evolver.population = make_population();
+  st.evolver.discarded = {false, true, false, true, true};
+  st.evolver.partitions = 5;
+  st.evolver.rng = make_rng_state(17, 0);
+  st.evolver.evaluations = 4321;
+  st.evolver.generation = 87;
+  st.phase1_done = true;
+  st.phase1_generations = 12;
+  return st;
+}
+
+CheckpointState pinned_mesacga() {
+  sacga::MesacgaState st;
+  st.evolver.population = make_population();
+  st.evolver.discarded = {false, false};
+  st.evolver.partitions = 2;
+  st.evolver.rng = make_rng_state(5, 2);
+  st.evolver.evaluations = 1234;
+  st.evolver.generation = 140;
+  st.phase1_done = true;
+  st.phase1_generations = 20;
+  sacga::PhaseSnapshot phase;
+  phase.phase = 1;
+  phase.partitions = 4;
+  phase.generation = 80;
+  phase.front = make_population();
+  st.phases.push_back(phase);
+  return st;
+}
+
+CheckpointState pinned_island() {
+  sacga::IslandState st;
+  st.islands = {make_population(), make_population()};
+  st.islands[1].pop_back();
+  st.rngs = {make_rng_state(3, 1), make_rng_state(4, 0)};
+  st.next_generation = 64;
+  st.evaluations = 9000;
+  st.migrations = 2;
+  return st;
+}
+
+struct PinnedFormat {
+  const char* kind;
+  CheckpointState (*state)();
+  std::uint64_t hash;  ///< hash_bytes(saved bytes, 0)
+  std::size_t bytes;
+};
+
+TEST(Checkpoint, ByteFormatIsPinnedForEveryStateKind) {
+  const PinnedFormat table[] = {
+      {"nsga2", pinned_nsga2, 0x01e2010f5cfe5b6dULL, 959},
+      {"spea2", pinned_spea2, 0x56bc438e7c954023ULL, 1379},
+      {"local-only", pinned_local_only, 0x7b7663e679745d6aULL, 973},
+      {"sacga", pinned_sacga, 0x9c7519efc1e59d34ULL, 980},
+      {"mesacga", pinned_mesacga, 0x9122a4463ce4d1b5ULL, 1573},
+      {"island", pinned_island, 0xb68000a8bd136416ULL, 1481},
+  };
+  ASSERT_EQ(std::size(table), std::variant_size_v<CheckpointState> - 1);
+  for (const PinnedFormat& row : table) {
+    Checkpoint cp = base_checkpoint();
+    cp.state = row.state();
+    EXPECT_EQ(cp.state_kind(), row.kind);
+    std::stringstream saved;
+    save_checkpoint(saved, cp);
+    const std::string bytes = saved.str();
+    EXPECT_EQ(bytes.size(), row.bytes) << row.kind;
+    EXPECT_EQ(hash_bytes(bytes, 0), row.hash) << row.kind;
+
+    // load -> save reproduces the same bytes.
+    std::stringstream reloaded(bytes);
+    std::stringstream resaved;
+    save_checkpoint(resaved, load_checkpoint(reloaded));
+    EXPECT_EQ(resaved.str(), bytes) << row.kind;
+  }
 }
 
 }  // namespace

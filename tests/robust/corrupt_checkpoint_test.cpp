@@ -48,7 +48,7 @@ Checkpoint make_checkpoint(std::size_t next_generation) {
   ind.eval.objectives = {1.0, 2.0};
   state.parents.push_back(ind);
   state.next_generation = next_generation;
-  cp.nsga2 = state;
+  cp.state = state;
   return cp;
 }
 
@@ -165,8 +165,8 @@ TEST(CorruptCheckpoint, RecoverFallsBackToNewestGoodSlot) {
     const auto recovered = recover_checkpoint(base);
     ASSERT_TRUE(recovered.has_value()) << corruption.name;
     EXPECT_EQ(recovered->path, base + ".1") << corruption.name;
-    ASSERT_TRUE(recovered->checkpoint.nsga2.has_value()) << corruption.name;
-    EXPECT_EQ(recovered->checkpoint.nsga2->next_generation, 10u) << corruption.name;
+    ASSERT_TRUE(std::holds_alternative<moga::Nsga2State>(recovered->checkpoint.state)) << corruption.name;
+    EXPECT_EQ(std::get<moga::Nsga2State>(recovered->checkpoint.state).next_generation, 10u) << corruption.name;
     // The skipped slot is reported, so callers can surface what was lost.
     ASSERT_EQ(recovered->rejected.size(), 1u) << corruption.name;
     EXPECT_NE(recovered->rejected[0].find(base), std::string::npos)

@@ -4,10 +4,12 @@
 // crowding, all bit-exact via the v2 serialization), same front, same
 // cumulative evaluation count.
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "moga/nsga2.hpp"
 #include "moga/serialize.hpp"
 #include "moga/spea2.hpp"
@@ -207,6 +209,36 @@ TEST(Resume, IslandGaResumesBitIdenticallyAcrossMigrations) {
     EXPECT_EQ(exact_bytes(resumed.front), exact_bytes(full.front));
     EXPECT_EQ(resumed.evaluations, full.evaluations);
     EXPECT_EQ(resumed.migrations, full.migrations);
+  }
+}
+
+
+TEST(Resume, IslandGaRejectsAMisSizedIslandNamingIt) {
+  const auto problem = problems::make_sch();
+  sacga::IslandParams params;
+  params.islands = 2;
+  params.island_population = 8;
+  params.generations = 12;
+  params.migration_interval = 4;
+  params.seed = 13;
+  params.snapshot_every = 5;
+  std::vector<sacga::IslandState> states;
+  params.on_snapshot = [&](const sacga::IslandState& s) { states.push_back(s); };
+  (void)sacga::run_island_ga(*problem, params);
+  ASSERT_FALSE(states.empty());
+
+  // A state whose island 1 lost members (e.g. an edited checkpoint) must be
+  // refused at resume, naming the island, not evolved with the wrong size.
+  sacga::IslandState damaged = states.front();
+  damaged.islands[1].resize(3);
+  params.on_snapshot = nullptr;
+  params.resume = &damaged;
+  try {
+    (void)sacga::run_island_ga(*problem, params);
+    FAIL() << "a 3-member island resumed";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("island 1 holds 3 members"), std::string::npos)
+        << e.what();
   }
 }
 
