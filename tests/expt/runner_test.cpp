@@ -377,40 +377,93 @@ TEST(Runner, ValidationRejectsDegenerateGuardAndWatchdogSettings) {
   }
 }
 
+/// One stop point of the barrier matrix: the stop token is raised once
+/// `after` generations have completed (0 = raised before the run starts),
+/// and the interrupted run must report `generations` completed.
+struct StopPoint {
+  const char* where;
+  std::size_t after;
+  std::size_t generations;
+};
+
+/// The stop points of `algo` at smoke_settings, with the completed
+/// generation counts every evolver has reported since the barrier was first
+/// written. For SACGA and MESACGA phase I is 7 generations (the short-budget
+/// cap); MESACGA's three phases then end at generations 14, 21 and 28.
+std::vector<StopPoint> stop_points(Algo algo) {
+  const bool partitioned = algo == Algo::SACGA || algo == Algo::MESACGA;
+  const std::size_t last = algo == Algo::MESACGA ? 28 : 30;
+  std::vector<StopPoint> points;
+  // A Job relays the caller's token through its on_generation chain, so a
+  // pre-raised stop is first seen at the barrier after generation 1 (the
+  // zero-step phase-I case is pinned at the evolver level, resume_test).
+  points.push_back({"pre-raised", 0, 1});
+  if (partitioned) {
+    points.push_back({"mid phase I", 3, 3});
+    // Phase I ends at its cap without polling again: the first phase-II
+    // generation runs before the stop is seen.
+    points.push_back({"last phase-I generation", 7, 8});
+  }
+  points.push_back({partitioned ? "mid phase II" : "mid run", 11, 11});
+  if (algo == Algo::MESACGA) points.push_back({"phase boundary", 14, 14});
+  points.push_back({"on the snapshot cadence", 16, 16});
+  points.push_back({"last generation", last, last});
+  return points;
+}
+
 TEST(Runner, StopTokenInterruptsAtTheBarrierAndResumeAutoFinishes) {
   const problems::IntegratorProblem problem(easy_spec());
-  for (Algo algo : {Algo::TPG, Algo::SPEA2, Algo::LocalOnly, Algo::Island}) {
-    const auto full = run(problem, smoke_settings(algo));
+  constexpr std::size_t kEvery = 16;
+  for (const AlgoInfo& info : kAlgos) {
+    if (!info.checkpoints) continue;
+    const auto full = run(problem, smoke_settings(info.algo));
+    for (const StopPoint& point : stop_points(info.algo)) {
+      const std::string label = algo_name(info.algo) + " stopped " + point.where;
+      CancelToken stop;
+      if (point.after == 0) stop.request();
+      std::size_t writes = 0;
+      RunSettings interrupted = smoke_settings(info.algo);
+      interrupted.checkpoint_path =
+          testing::TempDir() + "anadex_stop_" + std::string(info.vocabulary) + ".cp";
+      interrupted.checkpoint_every = kEvery;
+      interrupted.checkpoint_keep = 2;
+      interrupted.checkpoint_write_hook = [&writes](robust::CheckpointWritePhase phase,
+                                                    const std::string&) {
+        if (phase == robust::CheckpointWritePhase::AfterRename) ++writes;
+      };
+      interrupted.stop = &stop;
+      interrupted.on_generation = [&stop, &point](std::size_t gen, const moga::Population&) {
+        if (gen + 1 == point.after) stop.request();
+      };
+      const auto partial = run(problem, interrupted);
+      const bool stopped_early = point.generations < full.generations;
+      EXPECT_EQ(partial.generations, point.generations) << label;
+      EXPECT_EQ(partial.interrupted, stopped_early) << label;
+      // The regular snapshots, plus one off-cycle snapshot at the stop
+      // unless the cadence just wrote that generation.
+      const std::size_t off_cycle = stopped_early && point.generations % kEvery != 0 ? 1 : 0;
+      EXPECT_EQ(writes, point.generations / kEvery + off_cycle) << label;
 
-    CancelToken stop;
-    RunSettings interrupted = smoke_settings(algo);
-    interrupted.checkpoint_path =
-        testing::TempDir() + "anadex_stop_" + algo_name(algo) + ".cp";
-    interrupted.checkpoint_every = 16;
-    interrupted.checkpoint_keep = 2;
-    interrupted.stop = &stop;
-    interrupted.on_generation = [&stop](std::size_t gen, const moga::Population&) {
-      if (gen + 1 == 11) stop.request();  // off the snapshot cadence
-    };
-    const auto partial = run(problem, interrupted);
-    EXPECT_TRUE(partial.interrupted) << algo_name(algo);
-    EXPECT_LT(partial.generations, full.generations) << algo_name(algo);
-
-    RunSettings resuming = smoke_settings(algo);
-    resuming.checkpoint_path = interrupted.checkpoint_path;
-    resuming.checkpoint_every = 16;
-    resuming.resume = ResumeMode::Auto;
-    const auto resumed = run(problem, resuming);
-    EXPECT_FALSE(resumed.interrupted) << algo_name(algo);
-    EXPECT_FALSE(resumed.resumed_from_path.empty()) << algo_name(algo);
-    EXPECT_EQ(resumed.evaluations, full.evaluations) << algo_name(algo);
-    ASSERT_EQ(resumed.front.size(), full.front.size()) << algo_name(algo);
-    for (std::size_t i = 0; i < full.front.size(); ++i) {
-      EXPECT_EQ(resumed.front[i].power_w, full.front[i].power_w) << algo_name(algo);
-      EXPECT_EQ(resumed.front[i].cload_f, full.front[i].cload_f) << algo_name(algo);
-    }
-    for (const char* suffix : {"", ".1"}) {
-      std::remove((interrupted.checkpoint_path + suffix).c_str());
+      RunSettings resuming = smoke_settings(info.algo);
+      resuming.checkpoint_path = interrupted.checkpoint_path;
+      resuming.checkpoint_every = kEvery;
+      resuming.resume = ResumeMode::Auto;
+      const auto resumed = run(problem, resuming);
+      EXPECT_FALSE(resumed.interrupted) << label;
+      EXPECT_FALSE(resumed.resumed_from_path.empty()) << label;
+      if (stopped_early) {
+        EXPECT_EQ(resumed.resumed_from_generation, point.generations) << label;
+      }
+      EXPECT_EQ(resumed.generations, full.generations) << label;
+      EXPECT_EQ(resumed.evaluations, full.evaluations) << label;
+      ASSERT_EQ(resumed.front.size(), full.front.size()) << label;
+      for (std::size_t i = 0; i < full.front.size(); ++i) {
+        EXPECT_EQ(resumed.front[i].power_w, full.front[i].power_w) << label;
+        EXPECT_EQ(resumed.front[i].cload_f, full.front[i].cload_f) << label;
+      }
+      for (const char* suffix : {"", ".1"}) {
+        std::remove((interrupted.checkpoint_path + suffix).c_str());
+      }
     }
   }
 }

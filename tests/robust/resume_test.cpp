@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cancel.hpp"
 #include "common/check.hpp"
 #include "moga/nsga2.hpp"
 #include "moga/serialize.hpp"
@@ -181,6 +182,89 @@ TEST(Resume, MesacgaResumesBitIdenticallyAcrossPhaseBoundaries) {
       EXPECT_EQ(exact_bytes(resumed.phases[p].front), exact_bytes(full.phases[p].front));
     }
   }
+}
+
+TEST(Resume, PreRaisedStopSnapshotsGenerationZeroInPhaseI) {
+  // Phase I polls the stop token BEFORE each step: a token raised before
+  // the run takes zero steps and snapshots the initial population, which
+  // resumes to the uninterrupted run.
+  const auto problem = problems::make_sch();
+  CancelToken stop;
+  stop.request();
+
+  sacga::SacgaParams sacga_base;
+  sacga_base.population_size = 16;
+  sacga_base.partitions = 4;
+  sacga_base.axis_objective = 0;
+  sacga_base.axis_lo = 0.0;
+  sacga_base.axis_hi = 4.0;
+  sacga_base.phase1_max_generations = 6;
+  sacga_base.span = 20;
+  sacga_base.span_is_total_budget = true;
+  sacga_base.seed = 3;
+  const auto sacga_full = sacga::run_sacga(*problem, sacga_base);
+  sacga::SacgaParams sacga_stopped = sacga_base;
+  sacga_stopped.snapshot_every = 3;
+  sacga_stopped.stop = &stop;
+  std::vector<sacga::SacgaState> sacga_states;
+  sacga_stopped.on_snapshot = [&](const sacga::SacgaState& s) { sacga_states.push_back(s); };
+  const auto sacga_partial = sacga::run_sacga(*problem, sacga_stopped);
+  EXPECT_TRUE(sacga_partial.interrupted);
+  EXPECT_EQ(sacga_partial.generations_run, 0u);
+  ASSERT_EQ(sacga_states.size(), 1u);
+  EXPECT_EQ(sacga_states[0].evolver.generation, 0u);
+  EXPECT_FALSE(sacga_states[0].phase1_done);
+  sacga::SacgaParams sacga_resumed = sacga_base;
+  sacga_resumed.resume = &sacga_states[0];
+  const auto sacga_finished = sacga::run_sacga(*problem, sacga_resumed);
+  EXPECT_EQ(exact_bytes(sacga_finished.population), exact_bytes(sacga_full.population));
+  EXPECT_EQ(sacga_finished.evaluations, sacga_full.evaluations);
+
+  sacga::MesacgaParams mesacga_base;
+  mesacga_base.population_size = 16;
+  mesacga_base.partition_schedule = {4, 2, 1};
+  mesacga_base.axis_objective = 0;
+  mesacga_base.axis_lo = 0.0;
+  mesacga_base.axis_hi = 4.0;
+  mesacga_base.phase1_max_generations = 4;
+  mesacga_base.span = 6;
+  mesacga_base.seed = 11;
+  const auto mesacga_full = sacga::run_mesacga(*problem, mesacga_base);
+  sacga::MesacgaParams mesacga_stopped = mesacga_base;
+  mesacga_stopped.snapshot_every = 2;
+  mesacga_stopped.stop = &stop;
+  std::vector<sacga::MesacgaState> mesacga_states;
+  mesacga_stopped.on_snapshot = [&](const sacga::MesacgaState& s) {
+    mesacga_states.push_back(s);
+  };
+  const auto mesacga_partial = sacga::run_mesacga(*problem, mesacga_stopped);
+  EXPECT_TRUE(mesacga_partial.interrupted);
+  EXPECT_EQ(mesacga_partial.generations_run, 0u);
+  EXPECT_TRUE(mesacga_partial.phases.empty());
+  ASSERT_EQ(mesacga_states.size(), 1u);
+  EXPECT_EQ(mesacga_states[0].evolver.generation, 0u);
+  EXPECT_FALSE(mesacga_states[0].phase1_done);
+  sacga::MesacgaParams mesacga_resumed = mesacga_base;
+  mesacga_resumed.resume = &mesacga_states[0];
+  const auto mesacga_finished = sacga::run_mesacga(*problem, mesacga_resumed);
+  EXPECT_EQ(exact_bytes(mesacga_finished.population), exact_bytes(mesacga_full.population));
+  EXPECT_EQ(mesacga_finished.evaluations, mesacga_full.evaluations);
+
+  // Every other loop polls after its step: the same token stops NSGA-II
+  // after one generation, snapshotted off-cycle.
+  moga::Nsga2Params nsga2;
+  nsga2.population_size = 16;
+  nsga2.generations = 12;
+  nsga2.seed = 5;
+  nsga2.snapshot_every = 5;
+  nsga2.stop = &stop;
+  std::vector<moga::Nsga2State> nsga2_states;
+  nsga2.on_snapshot = [&](const moga::Nsga2State& s) { nsga2_states.push_back(s); };
+  const auto nsga2_partial = moga::run_nsga2(*problem, nsga2);
+  EXPECT_TRUE(nsga2_partial.interrupted);
+  EXPECT_EQ(nsga2_partial.generations_run, 1u);
+  ASSERT_EQ(nsga2_states.size(), 1u);
+  EXPECT_EQ(nsga2_states[0].next_generation, 1u);
 }
 
 TEST(Resume, IslandGaResumesBitIdenticallyAcrossMigrations) {
