@@ -56,7 +56,7 @@ struct EvolverCommon : ObsConfig, EvalKnobs {
 
   // Graceful shutdown + stuck-eval watchdog (see docs/robustness.md).
   /// Non-owning stop-request token (e.g. robust::shutdown_token()). Checked
-  /// once per generation at the barrier: when raised, the evolver snapshots
+  /// once per generation by barrier(): when raised, the evolver snapshots
   /// (if on_snapshot is set), marks its result `interrupted` and returns.
   /// Stopping never consumes randomness, so a resumed run replays the
   /// remaining generations bit-identically.
@@ -70,6 +70,35 @@ struct EvolverCommon : ObsConfig, EvalKnobs {
   /// Token the watchdog raises and cooperative evaluators poll. Must also
   /// be handed to the GuardedProblem wrapping the evaluator (non-owning).
   CancelToken* eval_cancel = nullptr;
+
+  /// The generation barrier: the one place an evolver decides, once
+  /// `completed` generations are done, whether to snapshot and whether to
+  /// stop. Writes the regular snapshot every `snapshot_every` generations;
+  /// then, unless this is the run's `last` generation, polls `stop` via
+  /// stop_requested(). Returns true when the evolver must mark its result
+  /// `interrupted` and return. `make_state` builds the State and runs only
+  /// when a snapshot is written.
+  template <class MakeState>
+  bool barrier(std::size_t completed, bool last, const MakeState& make_state) const {
+    if (on_snapshot && snapshot_due(completed)) on_snapshot(make_state());
+    return !last && stop_requested(completed, make_state);
+  }
+
+  /// The stop half of barrier(), alone for a loop that polls before its
+  /// step (SACGA's phase I). When `stop` is raised, writes one off-cycle
+  /// snapshot of generation `completed` (unless the regular cadence wrote
+  /// it) and returns true.
+  template <class MakeState>
+  bool stop_requested(std::size_t completed, const MakeState& make_state) const {
+    if (stop == nullptr || !stop->requested()) return false;
+    if (on_snapshot && !snapshot_due(completed)) on_snapshot(make_state());
+    return true;
+  }
+
+  /// True when the regular cadence snapshots generation `completed`.
+  bool snapshot_due(std::size_t completed) const {
+    return snapshot_every > 0 && completed != 0 && completed % snapshot_every == 0;
+  }
 };
 
 }  // namespace anadex::engine

@@ -172,7 +172,10 @@ void validate_run_settings(const RunSettings& s) {
   settings_registry_static_check(s);
   ANADEX_REQUIRE(s.population >= 4 && s.population % 2 == 0,
                  "run settings: population must be even and >= 4");
-  ANADEX_REQUIRE(s.generations >= 1, "run settings: generations must be >= 1");
+  // MESACGA with an explicit per-phase span takes its budget from the span,
+  // so its `generations` may be 0 (the Fig 10/11 benches run it that way).
+  ANADEX_REQUIRE(s.generations >= 1 || (s.algo == Algo::MESACGA && s.span > 0),
+                 "run settings: generations must be >= 1 (or MESACGA with span > 0)");
   // 0 means "one worker per hardware thread"; an explicit count is capped
   // so a typo (e.g. threads=10000) cannot exhaust the process thread limit.
   ANADEX_REQUIRE(s.threads <= 256, "run settings: threads must be in [0, 256] (0 = auto)");

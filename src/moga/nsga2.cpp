@@ -102,30 +102,10 @@ Nsga2Result run_nsga2(const Problem& problem, const Nsga2Params& params,
                      params.trace_hypervolume);
     ++result.generations_run;
 
-    const bool at_snapshot_barrier =
-        params.snapshot_every > 0 && (gen + 1) % params.snapshot_every == 0;
-    if (at_snapshot_barrier && params.on_snapshot) {
-      Nsga2State state;
-      state.parents = parents;
-      state.rng = rng.state();
-      state.next_generation = gen + 1;
-      state.evaluations = result.evaluations;
-      params.on_snapshot(state);
-    }
-
-    // Graceful-stop barrier: a raised stop token ends the run here, after a
-    // complete generation, with an off-cycle snapshot (unless the regular
-    // barrier above just wrote one) so resume continues from gen + 1.
-    if (params.stop != nullptr && params.stop->requested() &&
-        gen + 1 < params.generations) {
-      if (params.on_snapshot && !at_snapshot_barrier) {
-        Nsga2State state;
-        state.parents = parents;
-        state.rng = rng.state();
-        state.next_generation = gen + 1;
-        state.evaluations = result.evaluations;
-        params.on_snapshot(state);
-      }
+    const auto state = [&] {
+      return Nsga2State{parents, rng.state(), gen + 1, result.evaluations};
+    };
+    if (params.barrier(gen + 1, gen + 1 == params.generations, state)) {
       result.interrupted = true;
       break;
     }

@@ -197,23 +197,10 @@ Spea2Result run_spea2(const Problem& problem, const Spea2Params& params,
                        extract_global_front(archive), params.trace_hypervolume);
     }
 
-    const bool at_snapshot_barrier =
-        params.snapshot_every > 0 && (gen + 1) % params.snapshot_every == 0;
-    const auto snapshot = [&] {
-      Spea2State state;
-      state.population = population;
-      state.archive = archive;
-      state.rng = rng.state();
-      state.next_generation = gen + 1;
-      state.evaluations = result.evaluations;
-      params.on_snapshot(state);
+    const auto state = [&] {
+      return Spea2State{population, archive, rng.state(), gen + 1, result.evaluations};
     };
-    if (at_snapshot_barrier && params.on_snapshot) snapshot();
-
-    // Graceful-stop barrier (see nsga2.cpp): snapshot off-cycle and return.
-    if (params.stop != nullptr && params.stop->requested() &&
-        gen + 1 < params.generations) {
-      if (params.on_snapshot && !at_snapshot_barrier) snapshot();
+    if (params.barrier(gen + 1, gen + 1 == params.generations, state)) {
       result.interrupted = true;
       break;
     }

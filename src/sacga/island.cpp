@@ -231,14 +231,7 @@ IslandResult run_island_ga(const moga::Problem& problem, const IslandParams& par
       }
     }
 
-    const bool at_snapshot_barrier =
-        params.snapshot_every > 0 && (gen + 1) % params.snapshot_every == 0;
-    if (at_snapshot_barrier && params.on_snapshot) params.on_snapshot(arc.state());
-
-    // Graceful-stop barrier (see nsga2.cpp): snapshot off-cycle and return.
-    if (params.stop != nullptr && params.stop->requested() &&
-        gen + 1 < params.generations) {
-      if (params.on_snapshot && !at_snapshot_barrier) params.on_snapshot(arc.state());
+    if (params.barrier(gen + 1, gen + 1 == params.generations, [&] { return arc.state(); })) {
       result.interrupted = true;
       break;
     }

@@ -10,14 +10,7 @@ namespace anadex::sacga {
 
 LocalOnlyResult run_local_only(const moga::Problem& problem, const LocalOnlyParams& params,
                                const moga::GenerationCallback& on_generation) {
-  EvolverParams evolver_params;
-  static_cast<engine::EvalKnobs&>(evolver_params) = params;
-  evolver_params.population_size = params.population_size;
-  evolver_params.variation = params.variation;
-  evolver_params.sink = params.sink;
-  evolver_params.eval_deadline_s = params.eval_deadline_s;
-  evolver_params.eval_cancel = params.eval_cancel;
-
+  const EvolverParams evolver_params = evolver_params_of(params);
   Partitioner partitioner(params.axis_objective, params.axis_lo, params.axis_hi,
                           params.partitions);
   std::optional<PartitionedEvolver> engine;
@@ -38,18 +31,8 @@ LocalOnlyResult run_local_only(const moga::Problem& problem, const LocalOnlyPara
     moga::trace_generation(params.sink, gen, evolver.evaluations(), evolver.population(),
                            params.trace_hypervolume);
     trace_sacga_generation(params.sink, evolver, gen, /*phase=*/0, nullptr, 0);
-    const bool at_snapshot_barrier =
-        params.snapshot_every > 0 && evolver.generation() % params.snapshot_every == 0;
-    if (at_snapshot_barrier && params.on_snapshot) {
-      params.on_snapshot(LocalOnlyState{evolver.snapshot()});
-    }
-
-    // Graceful-stop barrier (see nsga2.cpp): snapshot off-cycle and return.
-    if (params.stop != nullptr && params.stop->requested() &&
-        evolver.generation() < params.generations) {
-      if (params.on_snapshot && !at_snapshot_barrier) {
-        params.on_snapshot(LocalOnlyState{evolver.snapshot()});
-      }
+    if (params.barrier(evolver.generation(), gen + 1 == params.generations,
+                       [&evolver] { return LocalOnlyState{evolver.snapshot()}; })) {
       interrupted = true;
       break;
     }

@@ -22,14 +22,7 @@ MesacgaResult run_mesacga(const moga::Problem& problem, const MesacgaParams& par
   }
   ANADEX_REQUIRE(params.span >= 1, "MESACGA needs a positive per-phase span");
 
-  EvolverParams evolver_params;
-  static_cast<engine::EvalKnobs&>(evolver_params) = params;
-  evolver_params.population_size = params.population_size;
-  evolver_params.variation = params.variation;
-  evolver_params.sink = params.sink;
-  evolver_params.eval_deadline_s = params.eval_deadline_s;
-  evolver_params.eval_cancel = params.eval_cancel;
-
+  const EvolverParams evolver_params = evolver_params_of(params);
   std::optional<PartitionedEvolver> engine;
   MesacgaResult result;
   bool phase1_done = false;
@@ -41,7 +34,7 @@ MesacgaResult run_mesacga(const moga::Problem& problem, const MesacgaParams& par
                                state.evolver.partitions),
                    state.evolver);
     phase1_done = state.phase1_done;
-    gen_t = state.phase1_generations;
+    if (phase1_done) gen_t = state.phase1_generations;
     result.phases = state.phases;
   } else {
     engine.emplace(problem, evolver_params,
@@ -51,33 +44,15 @@ MesacgaResult run_mesacga(const moga::Problem& problem, const MesacgaParams& par
   }
   PartitionedEvolver& evolver = *engine;
 
-  const auto force_snapshot = [&params, &evolver, &result](bool done, std::size_t gen_t_now) {
-    if (!params.on_snapshot) return;
-    MesacgaState state;
-    state.evolver = evolver.snapshot();
-    state.phase1_done = done;
-    state.phase1_generations = gen_t_now;
-    state.phases = result.phases;
-    params.on_snapshot(state);
-  };
-  const auto at_snapshot_barrier = [&params, &evolver] {
-    return params.snapshot_every > 0 && evolver.generation() != 0 &&
-           evolver.generation() % params.snapshot_every == 0;
-  };
-  const auto maybe_snapshot = [&](bool done, std::size_t gen_t_now) {
-    if (at_snapshot_barrier()) force_snapshot(done, gen_t_now);
+  const auto state = [&evolver, &phase1_done, &gen_t, &result] {
+    return MesacgaState{evolver.snapshot(), phase1_done, gen_t, result.phases};
   };
 
-  bool phase1_stopped = false;
   if (!phase1_done) {
-    gen_t = run_phase1(
-        evolver, params.phase1_max_generations, on_generation, 0, evolver.generation(),
-        [&maybe_snapshot](const PartitionedEvolver&, std::size_t) { maybe_snapshot(false, 0); },
-        &params, params.stop, &phase1_stopped);
-    if (phase1_stopped) {
-      if (!at_snapshot_barrier()) force_snapshot(false, 0);
-      result.interrupted = true;
-    }
+    result.interrupted =
+        !run_phase1(evolver, params.phase1_max_generations, params, on_generation, state);
+    phase1_done = !result.interrupted;
+    gen_t = evolver.generation();
   }
   result.phase1_generations = gen_t;
 
@@ -153,13 +128,10 @@ MesacgaResult run_mesacga(const moga::Problem& problem, const MesacgaParams& par
                            snap.front.size());
         result.phases.push_back(std::move(snap));
       }
-      maybe_snapshot(true, gen_t);
-
-      // Graceful-stop barrier (see nsga2.cpp). The very last generation of
-      // the last phase completes the run; no interrupt needed there.
-      if (params.stop != nullptr && params.stop->requested() &&
-          !(phase + 1 == phase_count && offset + 1 == span)) {
-        if (!at_snapshot_barrier()) force_snapshot(true, gen_t);
+      // The barrier follows phase_end, so a snapshot taken at a phase
+      // boundary carries the phase it closes.
+      if (params.barrier(evolver.generation(), phase + 1 == phase_count && offset + 1 == span,
+                         state)) {
         result.interrupted = true;
         break;
       }

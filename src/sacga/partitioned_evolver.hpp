@@ -56,6 +56,21 @@ struct EvolverParams : engine::EvalKnobs {
   CancelToken* eval_cancel = nullptr;
 };
 
+/// The inner-evolver configuration of a SACGA-family front-end (LocalOnly,
+/// SACGA, MESACGA): its execution knobs, population size, variation and
+/// the telemetry and watchdog wiring of its engine::EvolverCommon base.
+template <class FrontEndParams>
+EvolverParams evolver_params_of(const FrontEndParams& params) {
+  EvolverParams evolver_params;
+  static_cast<engine::EvalKnobs&>(evolver_params) = params;
+  evolver_params.population_size = params.population_size;
+  evolver_params.variation = params.variation;
+  evolver_params.sink = params.sink;
+  evolver_params.eval_deadline_s = params.eval_deadline_s;
+  evolver_params.eval_cancel = params.eval_cancel;
+  return evolver_params;
+}
+
 /// Probability that the i-th (1-based) locally-superior solution of a
 /// partition joins global competition this generation. Returning 0 for all
 /// i yields pure local competition; 1 for all i yields pure global

@@ -9,49 +9,12 @@
 
 namespace anadex::sacga {
 
-std::size_t run_phase1(PartitionedEvolver& evolver, std::size_t max_generations,
-                       const moga::GenerationCallback& on_generation,
-                       std::size_t generation_offset, std::size_t already_used,
-                       const Phase1StepHook& on_step, const engine::ObsConfig* obs,
-                       const CancelToken* stop, bool* stopped) {
-  const ParticipationProbability never = [](std::size_t) { return 0.0; };
-  std::size_t used = already_used;
-  while (used < max_generations && !evolver.all_active_partitions_feasible()) {
-    // Graceful-stop barrier. Returning here skips the infeasible-partition
-    // discard below on purpose: the discard belongs to phase-I COMPLETION,
-    // and a resumed run must re-enter this loop in the pre-discard state.
-    if (stop != nullptr && stop->requested()) {
-      if (stopped != nullptr) *stopped = true;
-      return used;
-    }
-    evolver.step(never);
-    if (on_generation) on_generation(generation_offset + used, evolver.population());
-    if (obs != nullptr) {
-      moga::trace_generation(obs->sink, generation_offset + used, evolver.evaluations(),
-                             evolver.population(), obs->trace_hypervolume);
-      trace_sacga_generation(obs->sink, evolver, generation_offset + used, /*phase=*/0,
-                             nullptr, 0);
-    }
-    ++used;
-    if (on_step) on_step(evolver, used);
-  }
-  evolver.discard_infeasible_partitions();
-  return used;
-}
-
 SacgaResult run_sacga(const moga::Problem& problem, const SacgaParams& params,
                       const moga::GenerationCallback& on_generation) {
   ANADEX_REQUIRE(params.partitions >= 1, "SACGA needs at least one partition");
   ANADEX_REQUIRE(params.span >= 1, "SACGA needs a positive phase-II span");
 
-  EvolverParams evolver_params;
-  static_cast<engine::EvalKnobs&>(evolver_params) = params;
-  evolver_params.population_size = params.population_size;
-  evolver_params.variation = params.variation;
-  evolver_params.sink = params.sink;
-  evolver_params.eval_deadline_s = params.eval_deadline_s;
-  evolver_params.eval_cancel = params.eval_cancel;
-
+  const EvolverParams evolver_params = evolver_params_of(params);
   Partitioner partitioner(params.axis_objective, params.axis_lo, params.axis_hi,
                           params.partitions);
   std::optional<PartitionedEvolver> engine;
@@ -60,40 +23,22 @@ SacgaResult run_sacga(const moga::Problem& problem, const SacgaParams& params,
   if (params.resume != nullptr) {
     engine.emplace(problem, evolver_params, std::move(partitioner), params.resume->evolver);
     phase1_done = params.resume->phase1_done;
-    gen_t = params.resume->phase1_generations;
+    if (phase1_done) gen_t = params.resume->phase1_generations;
   } else {
     engine.emplace(problem, evolver_params, std::move(partitioner), params.seed);
   }
   PartitionedEvolver& evolver = *engine;
 
-  const auto force_snapshot = [&params, &evolver](bool done, std::size_t gen_t_now) {
-    if (!params.on_snapshot) return;
-    SacgaState state;
-    state.evolver = evolver.snapshot();
-    state.phase1_done = done;
-    state.phase1_generations = gen_t_now;
-    params.on_snapshot(state);
-  };
-  /// True when the regular cadence would snapshot at the current generation.
-  const auto at_snapshot_barrier = [&params, &evolver] {
-    return params.snapshot_every > 0 && evolver.generation() != 0 &&
-           evolver.generation() % params.snapshot_every == 0;
-  };
-  const auto maybe_snapshot = [&](bool done, std::size_t gen_t_now) {
-    if (at_snapshot_barrier()) force_snapshot(done, gen_t_now);
+  const auto state = [&evolver, &phase1_done, &gen_t] {
+    return SacgaState{evolver.snapshot(), phase1_done, gen_t};
   };
 
   SacgaResult result;
-  bool phase1_stopped = false;
   if (!phase1_done) {
-    gen_t = run_phase1(
-        evolver, params.phase1_max_generations, on_generation, 0, evolver.generation(),
-        [&maybe_snapshot](const PartitionedEvolver&, std::size_t) { maybe_snapshot(false, 0); },
-        &params, params.stop, &phase1_stopped);
-    if (phase1_stopped) {
-      if (!at_snapshot_barrier()) force_snapshot(false, 0);
-      result.interrupted = true;
-    }
+    result.interrupted =
+        !run_phase1(evolver, params.phase1_max_generations, params, on_generation, state);
+    phase1_done = !result.interrupted;
+    gen_t = evolver.generation();
   }
   result.phase1_generations = gen_t;
   for (bool d : evolver.discarded()) {
@@ -128,11 +73,7 @@ SacgaResult run_sacga(const moga::Problem& problem, const SacgaParams& params,
                              params.trace_hypervolume);
       trace_sacga_generation(params.sink, evolver, result.phase1_generations + offset,
                              /*phase=*/1, &schedule, offset);
-      maybe_snapshot(true, gen_t);
-
-      // Graceful-stop barrier (see nsga2.cpp).
-      if (params.stop != nullptr && params.stop->requested() && offset + 1 < span) {
-        if (!at_snapshot_barrier()) force_snapshot(true, gen_t);
+      if (params.barrier(evolver.generation(), offset + 1 == span, state)) {
         result.interrupted = true;
         break;
       }

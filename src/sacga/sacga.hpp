@@ -16,7 +16,9 @@
 
 #include "engine/evolver_common.hpp"
 #include "moga/nsga2.hpp"
+#include "moga/obs_trace.hpp"
 #include "moga/problem.hpp"
+#include "sacga/obs_trace.hpp"
 #include "sacga/partitioned_evolver.hpp"
 #include "sacga/schedule.hpp"
 
@@ -69,26 +71,38 @@ struct SacgaResult {
 SacgaResult run_sacga(const moga::Problem& problem, const SacgaParams& params,
                       const moga::GenerationCallback& on_generation = {});
 
-/// Observer invoked after every phase-I generation with the evolver and the
-/// cumulative number of phase-I generations used, for checkpointing.
-using Phase1StepHook = std::function<void(const PartitionedEvolver&, std::size_t used)>;
-
-/// Phase I only, exposed for reuse by MESACGA: evolves under pure local
-/// competition until feasible coverage or the cap, then discards infeasible
-/// partitions. Returns the number of generations used (gen_t). When
-/// resuming a checkpointed run, `already_used` carries the phase-I
-/// generations already spent (the restored evolver's generation count).
-/// `obs` (optional) carries the telemetry sink: each phase-I generation
-/// records the "gen" + "sacga" trace events with phase = 0.
-/// `stop` (optional) is polled at the generation barrier: when raised, the
-/// function returns early — WITHOUT discarding infeasible partitions, so a
-/// resumed run re-enters phase I exactly where it left off — and sets
-/// `*stopped` (when given) to true.
-std::size_t run_phase1(PartitionedEvolver& evolver, std::size_t max_generations,
-                       const moga::GenerationCallback& on_generation,
-                       std::size_t generation_offset, std::size_t already_used = 0,
-                       const Phase1StepHook& on_step = {},
-                       const engine::ObsConfig* obs = nullptr,
-                       const CancelToken* stop = nullptr, bool* stopped = nullptr);
+/// Phase I, shared by SACGA and MESACGA: evolves under pure local
+/// competition until every active partition holds a feasible member or the
+/// evolver has run `max_generations`, then discards the partitions still
+/// infeasible. A restored evolver continues from its generation count.
+/// Each generation fires `on_generation` and the gen-level trace (phase 0)
+/// and ends at `params.barrier()`, whose snapshots `make_state` builds.
+/// The stop token is polled before each step, so a stop raised before the
+/// run takes zero steps; the last phase-I generation does not poll it.
+/// Returns false when the token stopped the run: the discard is skipped,
+/// so a resumed run re-enters phase I exactly where it left off.
+template <class State, class MakeState>
+bool run_phase1(PartitionedEvolver& evolver, std::size_t max_generations,
+                const engine::EvolverCommon<State>& params,
+                const moga::GenerationCallback& on_generation, const MakeState& make_state) {
+  const ParticipationProbability never = [](std::size_t) { return 0.0; };
+  const auto running = [&] {
+    return evolver.generation() < max_generations && !evolver.all_active_partitions_feasible();
+  };
+  bool more = running();
+  if (more && params.stop_requested(evolver.generation(), make_state)) return false;
+  while (more) {
+    evolver.step(never);
+    const std::size_t gen = evolver.generation() - 1;
+    if (on_generation) on_generation(gen, evolver.population());
+    moga::trace_generation(params.sink, gen, evolver.evaluations(), evolver.population(),
+                           params.trace_hypervolume);
+    trace_sacga_generation(params.sink, evolver, gen, /*phase=*/0, nullptr, 0);
+    more = running();
+    if (params.barrier(evolver.generation(), !more, make_state)) return false;
+  }
+  evolver.discard_infeasible_partitions();
+  return true;
+}
 
 }  // namespace anadex::sacga

@@ -268,6 +268,16 @@ TEST(Runner, ValidatesSettingsUpFront) {
     EXPECT_THROW(validate_run_settings(s), PreconditionError);
   }
   {
+    // MESACGA with an explicit span takes its budget from the span (the
+    // Fig 10 and Fig 11 benches); without one, 0 generations is no budget.
+    RunSettings s = smoke_settings(Algo::MESACGA);
+    s.generations = 0;
+    s.span = 50;
+    EXPECT_NO_THROW(validate_run_settings(s));
+    s.span = 0;
+    EXPECT_THROW(validate_run_settings(s), PreconditionError);
+  }
+  {
     RunSettings s = smoke_settings(Algo::TPG);
     s.record_history = true;
     s.history_stride = 0;
