@@ -45,3 +45,12 @@ target_link_libraries(overhead_runtime PRIVATE benchmark::benchmark)
 # and enforces the sweep-vs-legacy >= 5x acceptance check at n = 512).
 anadex_bench(micro_kernels)
 target_link_libraries(micro_kernels PRIVATE anadex::engine)
+
+# Figure smoke gate (ctest label bench_smoke): the MESACGA span figures run
+# at quick budget, so settings the figure benches pass and the run path
+# rejects fail tier-1 instead of aborting the reproduction script.
+foreach(fig fig10_phase_progress fig11_mesacga_vs_best_sacga)
+  add_test(NAME BenchSmoke.${fig} COMMAND ${fig})
+  set_tests_properties(BenchSmoke.${fig} PROPERTIES
+    ENVIRONMENT ANADEX_BENCH_QUICK=1 TIMEOUT 120 LABELS bench_smoke)
+endforeach()

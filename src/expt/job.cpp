@@ -79,7 +79,8 @@ JobState Job::run_slice(std::size_t budget) {
   }
 
   // The slice's stop wiring. The evolvers poll `stop` at the generation
-  // barrier immediately after on_generation, so raising the slice token
+  // barrier (engine::EvolverCommon::barrier) immediately after
+  // on_generation, so raising the slice token
   // inside the chained callback preempts exactly at the barrier the budget
   // names — deterministically, with no wall clock involved. The caller's
   // own stop token and a pending cancel() route through the same seam.

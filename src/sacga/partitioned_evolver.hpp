@@ -39,11 +39,10 @@
 
 namespace anadex::sacga {
 
-/// Engine configuration common to the SACGA family.
-/// Inner-evolver configuration. The engine::EvalKnobs base carries the
-/// pure execution knobs (threads / eval_cache / engine / batch_eval,
-/// engine::EvolverCommon semantics, all result-invariant), so the SACGA
-/// front-ends copy them down from their own params in one assignment.
+/// Inner-evolver configuration common to the SACGA family, built from a
+/// front-end's params by evolver_params_of(). The engine::EvalKnobs base
+/// carries the pure execution knobs (threads / eval_cache / engine /
+/// batch_eval, engine::EvolverCommon semantics, all result-invariant).
 struct EvolverParams : engine::EvalKnobs {
   std::size_t population_size = 100;  ///< must be even and >= 4
   moga::VariationParams variation;

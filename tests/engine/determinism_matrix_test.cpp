@@ -4,9 +4,17 @@
 // taken under one thread/cache setting must resume bit-identically under
 // another — `threads` and `eval_cache` are execution knobs, never part of
 // the result.
+//
+// One case table (an evolver's problem, params and runner) crossed with one
+// test body per axis. Each cell registers as DeterminismMatrix.<case><axis>,
+// e.g. DeterminismMatrix.SacgaIsCacheInvariant.
 #include <cstddef>
+#include <functional>
+#include <memory>
 #include <sstream>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,153 +32,195 @@
 namespace anadex::engine {
 namespace {
 
-const std::size_t kThreadMatrix[] = {2, 8};
-
 std::string exact_bytes(const moga::Population& population) {
   std::ostringstream os;
   moga::save_population_exact(os, population);
   return os.str();
 }
 
+/// What every axis compares: the result bytes (final population or archive
+/// plus front; WeightedSum: front plus every weight's winner) and the
+/// evaluation accounting, plus the island GA's migration count.
+struct Outcome {
+  std::string bytes;
+  std::size_t evaluations = 0;
+  EvalStats eval_stats;
+  std::size_t migrations = 0;
+};
+
+/// One row of the case table.
+struct MatrixCase {
+  std::string name;             ///< test-name stem of the thread and cache axes
+  std::string checkpoint_name;  ///< stem of the checkpoint axes; empty = no resumable state
+  /// Runs the evolver under the given execution knobs.
+  std::function<Outcome(const EvalKnobs&)> run;
+  /// Snapshots a run every 3 generations under the given knobs, then
+  /// resumes its earliest snapshot serially with no cache.
+  std::function<Outcome(const EvalKnobs&)> resume_earliest_snapshot;
+};
+
+template <class Params, class Run, class Bytes>
+MatrixCase make_case(std::string name, std::string checkpoint_name,
+                     std::shared_ptr<const moga::Problem> problem, Params base, Run run,
+                     Bytes bytes) {
+  const auto outcome = [bytes](const auto& result) {
+    Outcome o;
+    o.bytes = bytes(result);
+    o.evaluations = result.evaluations;
+    o.eval_stats = result.eval_stats;
+    if constexpr (requires { result.migrations; }) o.migrations = result.migrations;
+    return o;
+  };
+  MatrixCase c{std::move(name), std::move(checkpoint_name), {}, {}};
+  c.run = [=](const EvalKnobs& knobs) {
+    Params params = base;
+    static_cast<EvalKnobs&>(params) = knobs;
+    return outcome(run(*problem, params));
+  };
+  if constexpr (requires { base.resume; }) {
+    c.resume_earliest_snapshot = [=](const EvalKnobs& knobs) {
+      Params snapshotting = base;
+      static_cast<EvalKnobs&>(snapshotting) = knobs;
+      snapshotting.snapshot_every = 3;
+      std::vector<std::remove_cvref_t<decltype(*base.resume)>> states;
+      snapshotting.on_snapshot = [&](const auto& s) { states.push_back(s); };
+      (void)run(*problem, snapshotting);
+      if (states.empty()) {
+        ADD_FAILURE() << "the snapshotting run wrote no snapshot";
+        return Outcome{};
+      }
+      Params resumed = base;  // threads = 1, cache off
+      resumed.resume = &states.front();
+      return outcome(run(*problem, resumed));
+    };
+  }
+  return c;
+}
+
+std::string population_and_front(const auto& result) {
+  return exact_bytes(result.population) + exact_bytes(result.front);
+}
+
+std::vector<MatrixCase> matrix_cases() {
+  const std::shared_ptr<const moga::Problem> kur = problems::make_kur();
+  const std::shared_ptr<const moga::Problem> sch = problems::make_sch();
+  std::vector<MatrixCase> cases;
+
+  moga::Nsga2Params nsga2;
+  nsga2.population_size = 16;
+  nsga2.generations = 10;
+  nsga2.seed = 5;
+  cases.push_back(make_case(
+      "Nsga2", "Nsga2", kur, nsga2,
+      [](const moga::Problem& p, const moga::Nsga2Params& q) { return moga::run_nsga2(p, q); },
+      [](const moga::Nsga2Result& r) { return population_and_front(r); }));
+
+  moga::Spea2Params spea2;
+  spea2.population_size = 16;
+  spea2.archive_size = 12;
+  spea2.generations = 10;
+  spea2.seed = 5;
+  cases.push_back(make_case(
+      "Spea2", "Spea2", kur, spea2,
+      [](const moga::Problem& p, const moga::Spea2Params& q) { return moga::run_spea2(p, q); },
+      [](const moga::Spea2Result& r) {
+        return exact_bytes(r.archive) + exact_bytes(r.front);
+      }));
+
+  sacga::LocalOnlyParams local_only;
+  local_only.population_size = 16;
+  local_only.partitions = 4;
+  local_only.axis_objective = 0;
+  local_only.axis_lo = 0.0;
+  local_only.axis_hi = 4.0;
+  local_only.generations = 10;
+  local_only.seed = 7;
+  cases.push_back(make_case(
+      "LocalOnly", "LocalOnly", sch, local_only,
+      [](const moga::Problem& p, const sacga::LocalOnlyParams& q) {
+        return sacga::run_local_only(p, q);
+      },
+      [](const sacga::LocalOnlyResult& r) { return population_and_front(r); }));
+
+  sacga::SacgaParams sacga;
+  sacga.population_size = 16;
+  sacga.partitions = 4;
+  sacga.axis_objective = 0;
+  sacga.axis_lo = 0.0;
+  sacga.axis_hi = 4.0;
+  sacga.phase1_max_generations = 6;
+  sacga.span = 16;
+  sacga.span_is_total_budget = true;
+  sacga.seed = 3;
+  cases.push_back(make_case(
+      "Sacga", "Sacga", sch, sacga,
+      [](const moga::Problem& p, const sacga::SacgaParams& q) {
+        return sacga::run_sacga(p, q);
+      },
+      [](const sacga::SacgaResult& r) { return population_and_front(r); }));
+
+  sacga::MesacgaParams mesacga;
+  mesacga.population_size = 16;
+  mesacga.partition_schedule = {4, 2, 1};
+  mesacga.axis_objective = 0;
+  mesacga.axis_lo = 0.0;
+  mesacga.axis_hi = 4.0;
+  mesacga.phase1_max_generations = 4;
+  mesacga.span = 4;
+  mesacga.seed = 11;
+  cases.push_back(make_case(
+      "Mesacga", "Mesacga", sch, mesacga,
+      [](const moga::Problem& p, const sacga::MesacgaParams& q) {
+        return sacga::run_mesacga(p, q);
+      },
+      [](const sacga::MesacgaResult& r) { return population_and_front(r); }));
+
+  sacga::IslandParams island;
+  island.islands = 3;
+  island.island_population = 8;
+  island.generations = 9;
+  island.migration_interval = 4;
+  island.migrants = 1;
+  island.seed = 13;
+  cases.push_back(make_case(
+      "IslandGa", "Island", kur, island,
+      [](const moga::Problem& p, const sacga::IslandParams& q) {
+        return sacga::run_island_ga(p, q);
+      },
+      [](const sacga::IslandResult& r) { return population_and_front(r); }));
+
+  moga::WeightedSumParams weighted_sum;
+  weighted_sum.weight_count = 4;
+  weighted_sum.population_size = 12;
+  weighted_sum.generations_per_weight = 8;
+  weighted_sum.seed = 17;
+  cases.push_back(make_case(
+      "WeightedSum", "", sch, weighted_sum,
+      [](const moga::Problem& p, const moga::WeightedSumParams& q) {
+        return moga::run_weighted_sum(p, q);
+      },
+      [](const moga::WeightedSumResult& r) {
+        return exact_bytes(r.front) + exact_bytes(r.all_winners);
+      }));
+  return cases;
+}
+
+EvalKnobs knobs(std::size_t threads, std::size_t eval_cache = 0) {
+  EvalKnobs k;
+  k.threads = threads;
+  k.eval_cache = eval_cache;
+  return k;
+}
+
 // ---- threads in {1, 2, 8} produce identical results -----------------------
 
-TEST(DeterminismMatrix, Nsga2IsThreadCountInvariant) {
-  const auto problem = problems::make_kur();
-  moga::Nsga2Params params;
-  params.population_size = 16;
-  params.generations = 10;
-  params.seed = 5;
-  const auto serial = moga::run_nsga2(*problem, params);  // threads = 1
-  for (const std::size_t threads : kThreadMatrix) {
-    params.threads = threads;
-    const auto parallel = moga::run_nsga2(*problem, params);
-    EXPECT_EQ(exact_bytes(parallel.population), exact_bytes(serial.population))
-        << "threads = " << threads;
-    EXPECT_EQ(exact_bytes(parallel.front), exact_bytes(serial.front));
-    EXPECT_EQ(parallel.evaluations, serial.evaluations);
-  }
-}
-
-TEST(DeterminismMatrix, Spea2IsThreadCountInvariant) {
-  const auto problem = problems::make_kur();
-  moga::Spea2Params params;
-  params.population_size = 16;
-  params.archive_size = 12;
-  params.generations = 10;
-  params.seed = 5;
-  const auto serial = moga::run_spea2(*problem, params);
-  for (const std::size_t threads : kThreadMatrix) {
-    params.threads = threads;
-    const auto parallel = moga::run_spea2(*problem, params);
-    EXPECT_EQ(exact_bytes(parallel.archive), exact_bytes(serial.archive))
-        << "threads = " << threads;
-    EXPECT_EQ(exact_bytes(parallel.front), exact_bytes(serial.front));
-    EXPECT_EQ(parallel.evaluations, serial.evaluations);
-  }
-}
-
-TEST(DeterminismMatrix, LocalOnlyIsThreadCountInvariant) {
-  const auto problem = problems::make_sch();
-  sacga::LocalOnlyParams params;
-  params.population_size = 16;
-  params.partitions = 4;
-  params.axis_objective = 0;
-  params.axis_lo = 0.0;
-  params.axis_hi = 4.0;
-  params.generations = 10;
-  params.seed = 7;
-  const auto serial = sacga::run_local_only(*problem, params);
-  for (const std::size_t threads : kThreadMatrix) {
-    params.threads = threads;
-    const auto parallel = sacga::run_local_only(*problem, params);
-    EXPECT_EQ(exact_bytes(parallel.population), exact_bytes(serial.population))
-        << "threads = " << threads;
-    EXPECT_EQ(exact_bytes(parallel.front), exact_bytes(serial.front));
-    EXPECT_EQ(parallel.evaluations, serial.evaluations);
-  }
-}
-
-TEST(DeterminismMatrix, SacgaIsThreadCountInvariant) {
-  const auto problem = problems::make_sch();
-  sacga::SacgaParams params;
-  params.population_size = 16;
-  params.partitions = 4;
-  params.axis_objective = 0;
-  params.axis_lo = 0.0;
-  params.axis_hi = 4.0;
-  params.phase1_max_generations = 6;
-  params.span = 16;
-  params.span_is_total_budget = true;
-  params.seed = 3;
-  const auto serial = sacga::run_sacga(*problem, params);
-  for (const std::size_t threads : kThreadMatrix) {
-    params.threads = threads;
-    const auto parallel = sacga::run_sacga(*problem, params);
-    EXPECT_EQ(exact_bytes(parallel.population), exact_bytes(serial.population))
-        << "threads = " << threads;
-    EXPECT_EQ(exact_bytes(parallel.front), exact_bytes(serial.front));
-    EXPECT_EQ(parallel.evaluations, serial.evaluations);
-  }
-}
-
-TEST(DeterminismMatrix, MesacgaIsThreadCountInvariant) {
-  const auto problem = problems::make_sch();
-  sacga::MesacgaParams params;
-  params.population_size = 16;
-  params.partition_schedule = {4, 2, 1};
-  params.axis_objective = 0;
-  params.axis_lo = 0.0;
-  params.axis_hi = 4.0;
-  params.phase1_max_generations = 4;
-  params.span = 4;
-  params.seed = 11;
-  const auto serial = sacga::run_mesacga(*problem, params);
-  for (const std::size_t threads : kThreadMatrix) {
-    params.threads = threads;
-    const auto parallel = sacga::run_mesacga(*problem, params);
-    EXPECT_EQ(exact_bytes(parallel.population), exact_bytes(serial.population))
-        << "threads = " << threads;
-    EXPECT_EQ(exact_bytes(parallel.front), exact_bytes(serial.front));
-    EXPECT_EQ(parallel.evaluations, serial.evaluations);
-  }
-}
-
-TEST(DeterminismMatrix, IslandGaIsThreadCountInvariant) {
-  const auto problem = problems::make_kur();
-  sacga::IslandParams params;
-  params.islands = 3;
-  params.island_population = 8;
-  params.generations = 9;
-  params.migration_interval = 4;
-  params.migrants = 1;
-  params.seed = 13;
-  const auto serial = sacga::run_island_ga(*problem, params);
-  for (const std::size_t threads : kThreadMatrix) {
-    params.threads = threads;
-    const auto parallel = sacga::run_island_ga(*problem, params);
-    EXPECT_EQ(exact_bytes(parallel.population), exact_bytes(serial.population))
-        << "threads = " << threads;
-    EXPECT_EQ(exact_bytes(parallel.front), exact_bytes(serial.front));
+void expect_thread_count_invariant(const MatrixCase& c) {
+  const Outcome serial = c.run(knobs(1));
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    const Outcome parallel = c.run(knobs(threads));
+    EXPECT_EQ(parallel.bytes, serial.bytes) << "threads = " << threads;
     EXPECT_EQ(parallel.evaluations, serial.evaluations);
     EXPECT_EQ(parallel.migrations, serial.migrations);
-  }
-}
-
-TEST(DeterminismMatrix, WeightedSumIsThreadCountInvariant) {
-  const auto problem = problems::make_sch();
-  moga::WeightedSumParams params;
-  params.weight_count = 4;
-  params.population_size = 12;
-  params.generations_per_weight = 8;
-  params.seed = 17;
-  const auto serial = moga::run_weighted_sum(*problem, params);
-  for (const std::size_t threads : kThreadMatrix) {
-    params.threads = threads;
-    const auto parallel = moga::run_weighted_sum(*problem, params);
-    EXPECT_EQ(exact_bytes(parallel.front), exact_bytes(serial.front))
-        << "threads = " << threads;
-    EXPECT_EQ(exact_bytes(parallel.all_winners), exact_bytes(serial.all_winners));
-    EXPECT_EQ(parallel.evaluations, serial.evaluations);
   }
 }
 
@@ -180,16 +230,11 @@ TEST(DeterminismMatrix, WeightedSumIsThreadCountInvariant) {
 /// dedup cache under 1, 2 and 8 evaluation threads. Every cell of the
 /// matrix must produce the same bytes and the same requested-evaluation
 /// count; only the distinct-evaluation accounting may differ.
-template <class Params, class Run, class Bytes>
-void expect_cache_invariant(const moga::Problem& problem, Params base, Run run,
-                            Bytes bytes) {
-  const auto baseline = run(problem, base);  // eval_cache = 0, threads = 1
+void expect_cache_invariant(const MatrixCase& c) {
+  const Outcome baseline = c.run(knobs(1));
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    Params cached = base;
-    cached.threads = threads;
-    cached.eval_cache = 64;
-    const auto with_cache = run(problem, cached);
-    EXPECT_EQ(bytes(with_cache), bytes(baseline)) << "threads = " << threads;
+    const Outcome with_cache = c.run(knobs(threads, 64));
+    EXPECT_EQ(with_cache.bytes, baseline.bytes) << "threads = " << threads;
     EXPECT_EQ(with_cache.evaluations, baseline.evaluations);
     EXPECT_EQ(with_cache.eval_stats.requested, baseline.eval_stats.requested);
     // The cache never invents work: dispatched <= requested.
@@ -199,267 +244,55 @@ void expect_cache_invariant(const moga::Problem& problem, Params base, Run run,
   }
 }
 
-TEST(DeterminismMatrix, Nsga2IsCacheInvariant) {
-  const auto problem = problems::make_kur();
-  moga::Nsga2Params params;
-  params.population_size = 16;
-  params.generations = 10;
-  params.seed = 5;
-  expect_cache_invariant(*problem, params,
-                         [](const moga::Problem& p, const moga::Nsga2Params& q) {
-                           return moga::run_nsga2(p, q);
-                         },
-                         [](const moga::Nsga2Result& r) {
-                           return exact_bytes(r.population) + exact_bytes(r.front);
-                         });
-}
-
-TEST(DeterminismMatrix, Spea2IsCacheInvariant) {
-  const auto problem = problems::make_kur();
-  moga::Spea2Params params;
-  params.population_size = 16;
-  params.archive_size = 12;
-  params.generations = 10;
-  params.seed = 5;
-  expect_cache_invariant(*problem, params,
-                         [](const moga::Problem& p, const moga::Spea2Params& q) {
-                           return moga::run_spea2(p, q);
-                         },
-                         [](const moga::Spea2Result& r) {
-                           return exact_bytes(r.archive) + exact_bytes(r.front);
-                         });
-}
-
-TEST(DeterminismMatrix, LocalOnlyIsCacheInvariant) {
-  const auto problem = problems::make_sch();
-  sacga::LocalOnlyParams params;
-  params.population_size = 16;
-  params.partitions = 4;
-  params.axis_objective = 0;
-  params.axis_lo = 0.0;
-  params.axis_hi = 4.0;
-  params.generations = 10;
-  params.seed = 7;
-  expect_cache_invariant(*problem, params,
-                         [](const moga::Problem& p, const sacga::LocalOnlyParams& q) {
-                           return sacga::run_local_only(p, q);
-                         },
-                         [](const sacga::LocalOnlyResult& r) {
-                           return exact_bytes(r.population) + exact_bytes(r.front);
-                         });
-}
-
-TEST(DeterminismMatrix, SacgaIsCacheInvariant) {
-  const auto problem = problems::make_sch();
-  sacga::SacgaParams params;
-  params.population_size = 16;
-  params.partitions = 4;
-  params.axis_objective = 0;
-  params.axis_lo = 0.0;
-  params.axis_hi = 4.0;
-  params.phase1_max_generations = 6;
-  params.span = 16;
-  params.span_is_total_budget = true;
-  params.seed = 3;
-  expect_cache_invariant(*problem, params,
-                         [](const moga::Problem& p, const sacga::SacgaParams& q) {
-                           return sacga::run_sacga(p, q);
-                         },
-                         [](const sacga::SacgaResult& r) {
-                           return exact_bytes(r.population) + exact_bytes(r.front);
-                         });
-}
-
-TEST(DeterminismMatrix, MesacgaIsCacheInvariant) {
-  const auto problem = problems::make_sch();
-  sacga::MesacgaParams params;
-  params.population_size = 16;
-  params.partition_schedule = {4, 2, 1};
-  params.axis_objective = 0;
-  params.axis_lo = 0.0;
-  params.axis_hi = 4.0;
-  params.phase1_max_generations = 4;
-  params.span = 4;
-  params.seed = 11;
-  expect_cache_invariant(*problem, params,
-                         [](const moga::Problem& p, const sacga::MesacgaParams& q) {
-                           return sacga::run_mesacga(p, q);
-                         },
-                         [](const sacga::MesacgaResult& r) {
-                           return exact_bytes(r.population) + exact_bytes(r.front);
-                         });
-}
-
-TEST(DeterminismMatrix, IslandGaIsCacheInvariant) {
-  const auto problem = problems::make_kur();
-  sacga::IslandParams params;
-  params.islands = 3;
-  params.island_population = 8;
-  params.generations = 9;
-  params.migration_interval = 4;
-  params.migrants = 1;
-  params.seed = 13;
-  expect_cache_invariant(*problem, params,
-                         [](const moga::Problem& p, const sacga::IslandParams& q) {
-                           return sacga::run_island_ga(p, q);
-                         },
-                         [](const sacga::IslandResult& r) {
-                           return exact_bytes(r.population) + exact_bytes(r.front);
-                         });
-}
-
-TEST(DeterminismMatrix, WeightedSumIsCacheInvariant) {
-  const auto problem = problems::make_sch();
-  moga::WeightedSumParams params;
-  params.weight_count = 4;
-  params.population_size = 12;
-  params.generations_per_weight = 8;
-  params.seed = 17;
-  expect_cache_invariant(*problem, params,
-                         [](const moga::Problem& p, const moga::WeightedSumParams& q) {
-                           return moga::run_weighted_sum(p, q);
-                         },
-                         [](const moga::WeightedSumResult& r) {
-                           return exact_bytes(r.front) + exact_bytes(r.all_winners);
-                         });
-}
-
 // ---- a checkpoint under threads = 8 resumes bit-identically serially ------
 
-/// Runs the evolver serially end-to-end, then snapshots a run under 8
-/// evaluation threads and resumes the FIRST (earliest) snapshot with one
-/// thread. Both paths must land on the same bytes.
-template <class Params, class Run>
-void expect_cross_thread_resume(const moga::Problem& problem, Params base, Run run) {
-  const auto full = run(problem, base);  // threads = 1 throughout
-
-  Params snapshotting = base;
-  snapshotting.threads = 8;
-  snapshotting.snapshot_every = 3;
-  std::vector<std::remove_cvref_t<decltype(*base.resume)>> states;
-  snapshotting.on_snapshot = [&](const auto& s) { states.push_back(s); };
-  (void)run(problem, snapshotting);
-  ASSERT_FALSE(states.empty());
-
-  Params resumed_params = base;  // back to threads = 1
-  resumed_params.resume = &states.front();
-  const auto resumed = run(problem, resumed_params);
-  EXPECT_EQ(exact_bytes(resumed.front), exact_bytes(full.front));
+void expect_checkpoint_crosses_thread_counts(const MatrixCase& c) {
+  const Outcome full = c.run(knobs(1));
+  const Outcome resumed = c.resume_earliest_snapshot(knobs(8));
+  EXPECT_EQ(resumed.bytes, full.bytes);
   EXPECT_EQ(resumed.evaluations, full.evaluations);
-}
-
-TEST(DeterminismMatrix, Nsga2CheckpointCrossesThreadCounts) {
-  const auto problem = problems::make_sch();
-  moga::Nsga2Params base;
-  base.population_size = 16;
-  base.generations = 10;
-  base.seed = 5;
-  expect_cross_thread_resume(*problem, base,
-                             [](const moga::Problem& p, const moga::Nsga2Params& params) {
-                               return moga::run_nsga2(p, params);
-                             });
-}
-
-TEST(DeterminismMatrix, Spea2CheckpointCrossesThreadCounts) {
-  const auto problem = problems::make_sch();
-  moga::Spea2Params base;
-  base.population_size = 16;
-  base.archive_size = 12;
-  base.generations = 10;
-  base.seed = 5;
-  expect_cross_thread_resume(*problem, base,
-                             [](const moga::Problem& p, const moga::Spea2Params& params) {
-                               return moga::run_spea2(p, params);
-                             });
-}
-
-TEST(DeterminismMatrix, SacgaCheckpointCrossesThreadCounts) {
-  const auto problem = problems::make_sch();
-  sacga::SacgaParams base;
-  base.population_size = 16;
-  base.partitions = 4;
-  base.axis_objective = 0;
-  base.axis_lo = 0.0;
-  base.axis_hi = 4.0;
-  base.phase1_max_generations = 6;
-  base.span = 16;
-  base.span_is_total_budget = true;
-  base.seed = 3;
-  expect_cross_thread_resume(*problem, base,
-                             [](const moga::Problem& p, const sacga::SacgaParams& params) {
-                               return sacga::run_sacga(p, params);
-                             });
 }
 
 // ---- a checkpoint under a cache resumes bit-identically without one -------
 
-/// Snapshots a cached parallel run, then resumes its earliest snapshot with
-/// the cache off and one thread. Checkpoint bytes carry no cache state, so
-/// both paths must land on the same result.
-template <class Params, class Run>
-void expect_cross_cache_resume(const moga::Problem& problem, Params base, Run run) {
-  const auto full = run(problem, base);  // eval_cache = 0, threads = 1
-
-  Params snapshotting = base;
-  snapshotting.threads = 2;
-  snapshotting.eval_cache = 64;
-  snapshotting.snapshot_every = 3;
-  std::vector<std::remove_cvref_t<decltype(*base.resume)>> states;
-  snapshotting.on_snapshot = [&](const auto& s) { states.push_back(s); };
-  (void)run(problem, snapshotting);
-  ASSERT_FALSE(states.empty());
-
-  Params resumed_params = base;  // cache off again
-  resumed_params.resume = &states.front();
-  const auto resumed = run(problem, resumed_params);
-  EXPECT_EQ(exact_bytes(resumed.front), exact_bytes(full.front));
+/// Checkpoint bytes carry no cache state, so a snapshot of a cached
+/// parallel run must resume, cache off, onto the uncached run.
+void expect_checkpoint_crosses_cache_settings(const MatrixCase& c) {
+  const Outcome full = c.run(knobs(1));
+  const Outcome resumed = c.resume_earliest_snapshot(knobs(2, 64));
+  EXPECT_EQ(resumed.bytes, full.bytes);
   EXPECT_EQ(resumed.evaluations, full.evaluations);
 }
 
-TEST(DeterminismMatrix, Nsga2CheckpointCrossesCacheSettings) {
-  const auto problem = problems::make_sch();
-  moga::Nsga2Params base;
-  base.population_size = 16;
-  base.generations = 10;
-  base.seed = 5;
-  expect_cross_cache_resume(*problem, base,
-                            [](const moga::Problem& p, const moga::Nsga2Params& params) {
-                              return moga::run_nsga2(p, params);
-                            });
+class MatrixCell : public testing::Test {
+ public:
+  explicit MatrixCell(std::function<void()> body) : body_(std::move(body)) {}
+  void TestBody() override { body_(); }
+
+ private:
+  std::function<void()> body_;
+};
+
+void register_cell(const std::string& test_name, const MatrixCase& c,
+                   void (*axis)(const MatrixCase&)) {
+  testing::RegisterTest("DeterminismMatrix", test_name.c_str(), nullptr, nullptr, __FILE__,
+                        __LINE__, [c, axis]() -> testing::Test* {
+                          return new MatrixCell([c, axis] { axis(c); });
+                        });
 }
 
-TEST(DeterminismMatrix, SacgaCheckpointCrossesCacheSettings) {
-  const auto problem = problems::make_sch();
-  sacga::SacgaParams base;
-  base.population_size = 16;
-  base.partitions = 4;
-  base.axis_objective = 0;
-  base.axis_lo = 0.0;
-  base.axis_hi = 4.0;
-  base.phase1_max_generations = 6;
-  base.span = 16;
-  base.span_is_total_budget = true;
-  base.seed = 3;
-  expect_cross_cache_resume(*problem, base,
-                            [](const moga::Problem& p, const sacga::SacgaParams& params) {
-                              return sacga::run_sacga(p, params);
-                            });
-}
-
-TEST(DeterminismMatrix, IslandCheckpointCrossesThreadCounts) {
-  const auto problem = problems::make_sch();
-  sacga::IslandParams base;
-  base.islands = 2;
-  base.island_population = 8;
-  base.generations = 10;
-  base.migration_interval = 4;
-  base.migrants = 1;
-  base.seed = 13;
-  expect_cross_thread_resume(*problem, base,
-                             [](const moga::Problem& p, const sacga::IslandParams& params) {
-                               return sacga::run_island_ga(p, params);
-                             });
-}
+[[maybe_unused]] const bool kMatrixRegistered = [] {
+  for (const MatrixCase& c : matrix_cases()) {
+    register_cell(c.name + "IsThreadCountInvariant", c, expect_thread_count_invariant);
+    register_cell(c.name + "IsCacheInvariant", c, expect_cache_invariant);
+    if (c.checkpoint_name.empty()) continue;
+    register_cell(c.checkpoint_name + "CheckpointCrossesThreadCounts", c,
+                  expect_checkpoint_crosses_thread_counts);
+    register_cell(c.checkpoint_name + "CheckpointCrossesCacheSettings", c,
+                  expect_checkpoint_crosses_cache_settings);
+  }
+  return true;
+}();
 
 }  // namespace
 }  // namespace anadex::engine
