@@ -443,9 +443,9 @@ int cmd_serve(const ArgParser& args) {
   warn_unused(args);
   ANADEX_REQUIRE(poll_ms >= 0, "--poll-ms must be >= 0");
 
-  // SIGINT/SIGTERM raise the shutdown token: the current slice stops at its
-  // next generation barrier, every running job snapshots, and a restarted
-  // daemon resumes them all (ResumeMode::Auto at admission).
+  // SIGINT/SIGTERM raise the shutdown token: every slice of the current
+  // wave stops at its next generation barrier, every running job snapshots,
+  // and a restarted daemon resumes them all (ResumeMode::Auto at admission).
   robust::install_shutdown_handlers();
   const CancelToken& stop = robust::shutdown_token();
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "expt/figures.hpp"
 #include "expt/runner.hpp"
@@ -29,6 +30,20 @@ inline std::size_t scaled(std::size_t generations) {
   }();
   return quick ? std::max<std::size_t>(generations / 8, 16) : generations;
 }
+
+/// Counts the steps of `values` that break a monotone trend: a rise when
+/// `down`, a fall otherwise. A NaN step counts as a break.
+inline std::size_t trend_breaks(const std::vector<double>& values, bool down) {
+  std::size_t breaks = 0;
+  for (std::size_t i = 1; i < values.size(); ++i) {
+    const bool follows = down ? values[i] <= values[i - 1] : values[i] >= values[i - 1];
+    if (!follows) ++breaks;
+  }
+  return breaks;
+}
+
+/// The verdict suffix of a measured claim.
+inline const char* verdict(bool holds) { return holds ? "  [holds]" : "  [DEVIATES]"; }
 
 /// Base settings for runs against the paper's chosen specification.
 inline expt::RunSettings chosen_settings(expt::Algo algo, std::size_t generations) {

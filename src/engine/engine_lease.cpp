@@ -45,7 +45,7 @@ moga::Evaluation EngineLease::evaluate(std::span<const double> genes) const {
   return problem_.evaluated(genes);
 }
 
-const EvalStats& EngineLease::stats() const {
+EvalStats EngineLease::stats() const {
   return owned_ ? owned_->stats() : client_stats_;
 }
 

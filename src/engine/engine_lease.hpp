@@ -16,9 +16,11 @@
 //     engine that owns the workers, so serve configures it on the hub;
 //   - the per-run `threads` / `eval_cache` knobs are ignored in favour of
 //     the hub's (documented in docs/serve.md).
-// Batches are serialized by the caller exactly as with a private engine;
-// the serve scheduler runs one job slice at a time, so a hub only ever
-// sees one in-flight batch.
+// Each lease submits its batches one at a time, exactly as with a private
+// engine. The serve scheduler runs several job slices at once as tasks on
+// the hub's own pool (EvalEngine::run_tasks), so a hub may see one batch
+// per concurrent job; each runs serially on its job's worker, and the
+// cache keeps each job's hit counts independent of timing.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +76,7 @@ class EngineLease {
   /// THIS run's requested/distinct/cache-hit accounting — the engine
   /// totals when private, the locally-accumulated client stats when
   /// shared.
-  const EvalStats& stats() const;
+  EvalStats stats() const;
 
  private:
   const moga::Problem& problem_;

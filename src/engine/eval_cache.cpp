@@ -1,6 +1,9 @@
 #include "engine/eval_cache.hpp"
 
 #include <algorithm>
+#include <mutex>
+#include <new>
+#include <shared_mutex>
 
 #include "common/check.hpp"
 
@@ -10,45 +13,128 @@ EvalCache::EvalCache(std::size_t capacity) : capacity_(capacity) {
   ANADEX_REQUIRE(capacity > 0, "EvalCache capacity must be > 0");
 }
 
-std::size_t EvalCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
+EvalCache::~EvalCache() {
+  for (Entry* entry = head_; entry != nullptr;) {
+    Entry* const next = entry->next;
+    free_entry(entry);
+    entry = next;
+  }
 }
 
-EvalCache::Lru::iterator EvalCache::find_locked(std::span<const double> genes,
-                                                std::uint64_t hash,
-                                                std::uint64_t context) {
+std::size_t EvalCache::size() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  return size_;
+}
+
+void EvalCache::Entry::copy_eval_to(moga::Evaluation& out) const {
+  const double* objectives_begin = data() + genes;
+  const double* violations_begin = objectives_begin + objectives;
+  out.objectives.assign(objectives_begin, violations_begin);
+  out.violations.assign(violations_begin, violations_begin + violations);
+}
+
+EvalCache::Entry* EvalCache::make_entry(std::span<const double> genes, std::uint64_t hash,
+                                        const moga::Evaluation& eval,
+                                        std::uint64_t context) {
+  static_assert(sizeof(Entry) % alignof(double) == 0,
+                "the payload after the header must be double-aligned");
+  const std::size_t doubles = genes.size() + eval.objectives.size() + eval.violations.size();
+  void* raw = ::operator new(sizeof(Entry) + doubles * sizeof(double));
+  auto* entry = new (raw) Entry;
+  entry->hash = hash;
+  entry->context = context;
+  entry->genes = static_cast<std::uint32_t>(genes.size());
+  entry->objectives = static_cast<std::uint32_t>(eval.objectives.size());
+  entry->violations = static_cast<std::uint32_t>(eval.violations.size());
+  double* out = std::copy(genes.begin(), genes.end(), entry->data());
+  out = std::copy(eval.objectives.begin(), eval.objectives.end(), out);
+  std::copy(eval.violations.begin(), eval.violations.end(), out);
+  return entry;
+}
+
+void EvalCache::free_entry(Entry* entry) {
+  entry->~Entry();
+  ::operator delete(entry);
+}
+
+void EvalCache::unlink(Entry* entry) {
+  (entry->prev != nullptr ? entry->prev->next : head_) = entry->next;
+  (entry->next != nullptr ? entry->next->prev : tail_) = entry->prev;
+  entry->prev = nullptr;
+  entry->next = nullptr;
+}
+
+void EvalCache::push_front(Entry* entry) {
+  entry->prev = nullptr;
+  entry->next = head_;
+  (head_ != nullptr ? head_->prev : tail_) = entry;
+  head_ = entry;
+}
+
+EvalCache::Entry* EvalCache::find_locked(std::span<const double> genes,
+                                         std::uint64_t hash,
+                                         std::uint64_t context) const {
   auto [lo, hi] = index_.equal_range(hash);
   for (auto it = lo; it != hi; ++it) {
-    const Entry& entry = *it->second;
-    if (entry.context == context && entry.genes.size() == genes.size() &&
-        std::equal(entry.genes.begin(), entry.genes.end(), genes.begin())) {
-      return it->second;
+    Entry* const entry = it->second;
+    if (entry->context == context && entry->genes == genes.size() &&
+        std::equal(genes.begin(), genes.end(), entry->data())) {
+      return entry;
     }
   }
-  return lru_.end();
+  return nullptr;
 }
 
 bool EvalCache::lookup(std::span<const double> genes, std::uint64_t hash,
                        moga::Evaluation& out, std::uint64_t context) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = find_locked(genes, hash, context);
-  if (it == lru_.end()) return false;
-  out = it->eval;
-  lru_.splice(lru_.begin(), lru_, it);  // refresh recency; iterators stay valid
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  Entry* const entry = find_locked(genes, hash, context);
+  if (entry == nullptr) return false;
+  entry->copy_eval_to(out);
+  unlink(entry);  // refresh recency
+  push_front(entry);
+  return true;
+}
+
+bool EvalCache::peek(std::span<const double> genes, std::uint64_t hash,
+                     moga::Evaluation& out, std::uint64_t context) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  const Entry* const entry = find_locked(genes, hash, context);
+  if (entry == nullptr) return false;
+  entry->copy_eval_to(out);
   return true;
 }
 
 void EvalCache::insert(std::span<const double> genes, std::uint64_t hash,
                        const moga::Evaluation& eval, std::uint64_t context) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto existing = find_locked(genes, hash, context);
-  if (existing != lru_.end()) {
-    lru_.splice(lru_.begin(), lru_, existing);
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  if (Entry* const existing = find_locked(genes, hash, context); existing != nullptr) {
+    unlink(existing);
+    push_front(existing);
     return;
   }
-  if (lru_.size() >= capacity_) {
-    const auto victim = std::prev(lru_.end());
+  link_locked(make_entry(genes, hash, eval, context));
+}
+
+void EvalCache::commit(Stage& stage) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  for (Entry* const entry : stage.entries_) {
+    if (Entry* const existing = find_locked(entry->gene_span(), entry->hash, entry->context);
+        existing != nullptr) {
+      unlink(existing);
+      push_front(existing);
+      free_entry(entry);
+    } else {
+      link_locked(entry);
+    }
+  }
+  stage.entries_.clear();
+  stage.index_.clear();
+}
+
+void EvalCache::link_locked(Entry* entry) {
+  if (size_ >= capacity_) {
+    Entry* const victim = tail_;
     auto [lo, hi] = index_.equal_range(victim->hash);
     for (auto it = lo; it != hi; ++it) {
       if (it->second == victim) {
@@ -56,54 +142,85 @@ void EvalCache::insert(std::span<const double> genes, std::uint64_t hash,
         break;
       }
     }
-    lru_.erase(victim);
+    unlink(victim);
+    free_entry(victim);
+    --size_;
   }
-  lru_.push_front(Entry{{genes.begin(), genes.end()}, eval, hash, context});
-  index_.emplace(hash, lru_.begin());
+  push_front(entry);
+  index_.emplace(entry->hash, entry);
+  ++size_;
   if constexpr (kCheckInvariants) {
     ANADEX_ASSERT(coherent_locked(),
                   "LRU list and hash index must describe the same entries");
   }
 }
 
+EvalCache::Stage::~Stage() {
+  for (Entry* const entry : entries_) free_entry(entry);
+}
+
+bool EvalCache::Stage::lookup(std::span<const double> genes, std::uint64_t hash,
+                              moga::Evaluation& out) const {
+  auto [lo, hi] = index_.equal_range(hash);
+  for (auto it = lo; it != hi; ++it) {
+    const Entry* const entry = it->second;
+    if (entry->genes == genes.size() &&
+        std::equal(genes.begin(), genes.end(), entry->data())) {
+      entry->copy_eval_to(out);
+      return true;
+    }
+  }
+  return false;
+}
+
+void EvalCache::Stage::add(std::span<const double> genes, std::uint64_t hash,
+                           const moga::Evaluation& eval) {
+  Entry* const entry = make_entry(genes, hash, eval, context_);
+  entries_.push_back(entry);
+  index_.emplace(hash, entry);
+}
+
 bool EvalCache::coherent() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   return coherent_locked();
 }
 
 bool EvalCache::coherent_locked() const {
-  if (lru_.size() > capacity_) return false;
-  if (index_.size() != lru_.size()) return false;
-  // Every index slot must point at a live list node filed under its own
-  // hash. Collect the pointees to prove the mapping is a bijection.
+  if (size_ > capacity_) return false;
+  if (index_.size() != size_) return false;
+  // Walk the list: links must agree both ways and the walk must see exactly
+  // size_ nodes, each indexed under its own hash. Collect the nodes to
+  // prove the mapping is a bijection.
   std::vector<const Entry*> seen;
-  seen.reserve(index_.size());
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    auto [lo, hi] = index_.equal_range(it->hash);
+  seen.reserve(size_);
+  const Entry* prev = nullptr;
+  for (const Entry* entry = head_; entry != nullptr; entry = entry->next) {
+    if (entry->prev != prev || seen.size() == size_) return false;
+    auto [lo, hi] = index_.equal_range(entry->hash);
     bool indexed = false;
     for (auto slot = lo; slot != hi; ++slot) {
-      if (slot->second == it) {
+      if (slot->second == entry) {
         indexed = true;
         break;
       }
     }
     if (!indexed) return false;
-    seen.push_back(&*it);
+    seen.push_back(entry);
+    prev = entry;
   }
-  // index_.size() == lru_.size() plus every node indexed under its hash
-  // leaves no room for dangling slots; finally, keys must be unique.
-  std::sort(seen.begin(), seen.end(), [](const Entry* a, const Entry* b) {
+  if (prev != tail_ || seen.size() != size_) return false;
+  // index_.size() == size_ plus every node indexed under its hash leaves no
+  // room for dangling slots; finally, keys must be unique.
+  const auto key_less = [](const Entry* a, const Entry* b) {
     if (a->hash != b->hash) return a->hash < b->hash;
     if (a->context != b->context) return a->context < b->context;
-    return std::lexicographical_compare(a->genes.begin(), a->genes.end(),
-                                        b->genes.begin(), b->genes.end());
-  });
+    const auto ga = a->gene_span();
+    const auto gb = b->gene_span();
+    return std::lexicographical_compare(ga.begin(), ga.end(), gb.begin(), gb.end());
+  };
+  std::sort(seen.begin(), seen.end(), key_less);
   for (std::size_t i = 1; i < seen.size(); ++i) {
-    if (seen[i - 1]->hash == seen[i]->hash &&
-        seen[i - 1]->context == seen[i]->context &&
-        seen[i - 1]->genes == seen[i]->genes) {
-      return false;
-    }
+    if (!key_less(seen[i - 1], seen[i])) return false;
   }
   return true;
 }

@@ -16,14 +16,18 @@
 // distinct designs and must never alias. Private engines pass context 0,
 // which reproduces the pre-context behaviour bit for bit. Eviction is
 // least-recently-used with a fixed entry capacity shared across contexts.
-// All entry points lock one mutex; the engine only calls in from the
-// batch-submitting thread, so the lock is uncontended in practice.
+// Every entry point locks one reader-writer mutex: peek() (the read-only
+// lookup of clients running concurrently) shares it, so such clients never
+// wait for each other; the rest hold it exclusively. Each entry is ONE
+// allocation: a small
+// header (LRU links, hash, context, lengths) followed by the genes, the
+// objectives and the violations as one run of doubles.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <mutex>
+#include <map>
+#include <shared_mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -51,6 +55,10 @@ class EvalCache {
  public:
   /// `capacity` is the maximum number of retained entries (> 0).
   explicit EvalCache(std::size_t capacity);
+  ~EvalCache();
+
+  EvalCache(const EvalCache&) = delete;
+  EvalCache& operator=(const EvalCache&) = delete;
 
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const;
@@ -61,44 +69,102 @@ class EvalCache {
   bool lookup(std::span<const double> genes, std::uint64_t hash,
               moga::Evaluation& out, std::uint64_t context = 0);
 
+  /// lookup() without the recency refresh: it only reads, so concurrent
+  /// peeks leave the eviction order as it was.
+  bool peek(std::span<const double> genes, std::uint64_t hash,
+            moga::Evaluation& out, std::uint64_t context = 0) const;
+
   /// Stores (context, genes) -> eval, evicting the least-recently-used
   /// entry when full. Re-inserting an existing key refreshes its recency.
   void insert(std::span<const double> genes, std::uint64_t hash,
               const moga::Evaluation& eval, std::uint64_t context = 0);
 
+  class Stage;
+
+  /// Inserts the entries of `stage` in the order they were staged, exactly
+  /// as insert() calls would (an entry whose key is present refreshes it),
+  /// without copying them again, and leaves `stage` empty.
+  void commit(Stage& stage);
+
   /// True when the LRU list and hash index describe the same entry set:
-  /// equal sizes within capacity, every index slot points at a live list
-  /// node under its stored hash, and no two entries share identical
-  /// (context, gene bytes). O(n log n); compiled unconditionally so tests
-  /// can call it in any build, with insert() self-checking under
-  /// kCheckInvariants.
+  /// equal sizes within capacity, list links agree both ways, every index
+  /// slot points at a live list node under its stored hash, and no two
+  /// entries share identical (context, gene bytes). O(n log n); compiled
+  /// unconditionally so tests can call it in any build, with insert()
+  /// self-checking under kCheckInvariants.
   bool coherent() const;
 
  private:
+  /// One retained evaluation. Allocated with its payload in one block: the
+  /// header is followed by `genes`, then `objectives`, then `violations`
+  /// doubles.
   struct Entry {
-    std::vector<double> genes;
-    moga::Evaluation eval;
+    Entry* prev = nullptr;  ///< towards the most recently used end
+    Entry* next = nullptr;  ///< towards the least recently used end
     std::uint64_t hash = 0;
     std::uint64_t context = 0;
-  };
-  using Lru = std::list<Entry>;
+    std::uint32_t genes = 0;
+    std::uint32_t objectives = 0;
+    std::uint32_t violations = 0;
 
-  /// Returns the bucketed entry matching `context` + `genes` byte-for-byte,
-  /// or end().
-  Lru::iterator find_locked(std::span<const double> genes, std::uint64_t hash,
-                            std::uint64_t context);
+    const double* data() const { return reinterpret_cast<const double*>(this + 1); }
+    double* data() { return reinterpret_cast<double*>(this + 1); }
+    std::span<const double> gene_span() const { return {data(), genes}; }
+    void copy_eval_to(moga::Evaluation& out) const;
+  };
+
+  static Entry* make_entry(std::span<const double> genes, std::uint64_t hash,
+                           const moga::Evaluation& eval, std::uint64_t context);
+  static void free_entry(Entry* entry);
+
+  /// Returns the entry matching `context` + `genes` byte-for-byte, or null.
+  Entry* find_locked(std::span<const double> genes, std::uint64_t hash,
+                     std::uint64_t context) const;
+  void unlink(Entry* entry);
+  void push_front(Entry* entry);
+  /// Makes `entry` the most recent one (its key must be absent), evicting
+  /// the least recently used entry when full.
+  void link_locked(Entry* entry);
 
   /// coherent() with mu_ already held (for the insert() self-check).
   bool coherent_locked() const;
 
   const std::size_t capacity_;
-  mutable std::mutex mu_;
-  Lru lru_;  ///< front = most recently used
+  mutable std::shared_mutex mu_;
+  Entry* head_ = nullptr;  ///< most recently used
+  Entry* tail_ = nullptr;  ///< least recently used (the eviction victim)
+  std::size_t size_ = 0;
   // Keyed equal_range lookups only, and at most one bucket entry can pass
   // the full gene-vector compare, so the order entries appear within a
   // bucket (or across buckets) never selects a different result.
   // anadex-lint: allow(det-unordered)
-  std::unordered_multimap<std::uint64_t, Lru::iterator> index_;
+  std::unordered_multimap<std::uint64_t, Entry*> index_;
+};
+
+/// What one client would insert into (or refresh in) an EvalCache while the
+/// cache is frozen, built without its lock: entries in first-touch order,
+/// found again by their client, until EvalCache::commit() adopts them.
+/// Single-client: not synchronized.
+class EvalCache::Stage {
+ public:
+  explicit Stage(std::uint64_t context) : context_(context) {}
+  ~Stage();
+
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
+
+  /// Copies the staged result for `genes` into `out`; false when none.
+  bool lookup(std::span<const double> genes, std::uint64_t hash,
+              moga::Evaluation& out) const;
+  /// Stages (context, genes) -> eval; the genes must not be staged yet.
+  void add(std::span<const double> genes, std::uint64_t hash,
+           const moga::Evaluation& eval);
+
+ private:
+  friend class EvalCache;
+  std::uint64_t context_;
+  std::vector<Entry*> entries_;                   ///< first-touch order
+  std::multimap<std::uint64_t, Entry*> index_;    ///< hash -> entry
 };
 
 }  // namespace anadex::engine

@@ -19,6 +19,11 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
 
+/// The engine whose frame slots this thread is running, if any: a batch or
+/// run_tasks() call submitted from inside a task runs serially on that
+/// thread instead of publishing a frame the busy pool cannot serve.
+thread_local const EvalEngine* t_task_engine = nullptr;
+
 }  // namespace
 
 std::size_t EvalEngine::resolve_threads(std::size_t requested) {
@@ -125,25 +130,54 @@ moga::Evaluation EvalEngine::evaluate(std::span<const double> genes) const {
   return problem().evaluated(genes);
 }
 
+EvalStats EvalEngine::stats() const {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  return stats_;
+}
+
+std::uint64_t EvalEngine::busy_batches() const {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  return busy_batches_;
+}
+
+double EvalEngine::busy_seconds() const {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  return busy_seconds_;
+}
+
+void EvalEngine::Frame::record_error(std::size_t index) {
+  std::lock_guard<std::mutex> lock(error_mu);
+  if (!first_error || index < first_error_index) {
+    first_error = std::current_exception();
+    first_error_index = index;
+  }
+}
+
 void EvalEngine::submit(const moga::Problem& problem, std::uint64_t context,
                         std::span<const Item> items, EvalStats* client) const {
-  batch_problem_ = &problem;
-  stats_.requested += items.size();
-  if (client != nullptr) client->requested += items.size();
   if (!cache_) {
-    trace_requested_ = items.size();
-    trace_cache_hits_ = 0;
-    stats_.evaluated += items.size();
-    if (client != nullptr) client->evaluated += items.size();
-    run_batch(items);
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      stats_.requested += items.size();
+      stats_.evaluated += items.size();
+    }
+    if (client != nullptr) {
+      client->requested += items.size();
+      client->evaluated += items.size();
+    }
+    run_batch(problem, items, items.size(), 0);
     return;
   }
+  EvalCache::Stage* stage = nullptr;
+  if (staging_) {
+    std::lock_guard<std::mutex> lock(stage_mu_);
+    stage = &stages_.try_emplace(context, context).first->second;
+  }
 
-  // Dedup on the calling thread, in ascending item order, so (a) the
-  // counters need no synchronization and (b) the distinct dispatch list
-  // preserves original index order — the pool's lowest-index-error rule
-  // then surfaces the same exception the cache-off path would, because the
-  // lowest-index faulting item is always a first occurrence.
+  // Dedup on the calling thread, in ascending item order, so the distinct
+  // dispatch list preserves original index order — the lowest-index-error
+  // rule then surfaces the same exception the cache-off path would,
+  // because the lowest-index faulting item is always a first occurrence.
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   struct Pending {
     Item item;
@@ -177,7 +211,7 @@ void EvalEngine::submit(const moga::Problem& problem, std::uint64_t context,
       continue;
     }
     bucket.push_back(i);
-    if (cache_->lookup(genes, hash, *items[i].out, context)) {
+    if (cache_lookup(stage, genes, hash, *items[i].out, context)) {
       ++lru_hits;
       continue;
     }
@@ -195,16 +229,19 @@ void EvalEngine::submit(const moga::Problem& problem, std::uint64_t context,
                     "a duplicate's representative must precede it in the batch");
     }
   }
-  stats_.evaluated += missing.size();
-  stats_.batch_hits += batch_hits;
-  stats_.lru_hits += lru_hits;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.requested += items.size();
+    stats_.evaluated += missing.size();
+    stats_.batch_hits += batch_hits;
+    stats_.lru_hits += lru_hits;
+  }
   if (client != nullptr) {
+    client->requested += items.size();
     client->evaluated += missing.size();
     client->batch_hits += batch_hits;
     client->lru_hits += lru_hits;
   }
-  trace_requested_ = items.size();
-  trace_cache_hits_ = lru_hits;
 
   std::exception_ptr error;
   if (!missing.empty()) {
@@ -212,7 +249,7 @@ void EvalEngine::submit(const moga::Problem& problem, std::uint64_t context,
     dispatch.reserve(missing.size());
     for (const Pending& p : missing) dispatch.push_back(p.item);
     try {
-      run_batch(dispatch);
+      run_batch(problem, dispatch, items.size(), lru_hits);
     } catch (...) {
       error = std::current_exception();
     }
@@ -222,7 +259,7 @@ void EvalEngine::submit(const moga::Problem& problem, std::uint64_t context,
     // clones would have produced (they fault identically).
     if (!error) {
       for (const Pending& p : missing) {
-        cache_->insert(*p.item.genes, p.hash, *p.item.out, context);
+        cache_store(stage, *p.item.genes, p.hash, *p.item.out, context);
       }
     }
   }
@@ -232,55 +269,57 @@ void EvalEngine::submit(const moga::Problem& problem, std::uint64_t context,
   if (error) std::rethrow_exception(error);
 }
 
-void EvalEngine::run_serial(std::span<const Item> items) const {
-  // Same contract as the pooled path: attempt every item, collect the
-  // lowest-index failure in first_error_, so thread count never changes
-  // which items got their results written. With lanes engaged the whole
-  // batch is ONE evaluate_lanes() call, so the evaluator can pool work
-  // across all of it; the pool keeps claiming lane_width_ groups, which
-  // balance its workers.
-  if (lanes_ != nullptr) {
-    process_group(0, items.size());
-    return;
-  }
-  for (std::size_t i = 0; i < items.size(); ++i) process_item(i);
+bool EvalEngine::cache_lookup(EvalCache::Stage* stage, const Genome& genes,
+                              std::uint64_t hash, moga::Evaluation& out,
+                              std::uint64_t context) const {
+  if (stage == nullptr) return cache_->lookup(genes, hash, out, context);
+  if (stage->lookup(genes, hash, out)) return true;
+  if (!cache_->peek(genes, hash, out, context)) return false;
+  stage->add(genes, hash, out);  // the hit refreshes its recency at commit
+  return true;
 }
 
-void EvalEngine::process_item(std::size_t index) const {
-  const Item& item = items_[index];
-  Clock::time_point item_start;
-  if (trace_timing_) item_start = Clock::now();
-  try {
-    batch_problem_->evaluate(*item.genes, *item.out);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!first_error_ || index < first_error_index_) {
-      first_error_ = std::current_exception();
-      first_error_index_ = index;
-    }
+void EvalEngine::cache_store(EvalCache::Stage* stage, const Genome& genes,
+                             std::uint64_t hash, const moga::Evaluation& eval,
+                             std::uint64_t context) const {
+  if (stage == nullptr) {
+    cache_->insert(genes, hash, eval, context);
+  } else {
+    stage->add(genes, hash, eval);
   }
-  if (trace_timing_) {
+}
+
+void EvalEngine::process_item(Frame& frame, std::size_t index) const {
+  const Item& item = frame.items[index];
+  Clock::time_point item_start;
+  if (frame.timing) item_start = Clock::now();
+  try {
+    frame.problem->evaluate(*item.genes, *item.out);
+  } catch (...) {
+    frame.record_error(index);
+  }
+  if (frame.timing) {
     // Each slot is written by the single worker that claimed the item, so
     // this is race-free without further synchronization.
     const Clock::time_point done = Clock::now();
-    trace_start_s_[index] = seconds_between(trace_submit_, item_start);
-    trace_dur_s_[index] = seconds_between(item_start, done);
+    frame.start_s[index] = seconds_between(frame.submit, item_start);
+    frame.dur_s[index] = seconds_between(item_start, done);
   }
 }
 
-void EvalEngine::process_group(std::size_t start, std::size_t count) const {
-  if (lanes_ != nullptr && count > 1) {
+void EvalEngine::process_group(Frame& frame, std::size_t start, std::size_t count) const {
+  if (frame.lanes != nullptr && count > 1) {
     Clock::time_point group_start;
-    if (trace_timing_) group_start = Clock::now();
+    if (frame.timing) group_start = Clock::now();
     bool lanes_ok = false;
     try {
       std::vector<std::span<const double>> genes(count);
       std::vector<moga::Evaluation*> outs(count);
       for (std::size_t i = 0; i < count; ++i) {
-        genes[i] = std::span<const double>(*items_[start + i].genes);
-        outs[i] = items_[start + i].out;
+        genes[i] = std::span<const double>(*frame.items[start + i].genes);
+        outs[i] = frame.items[start + i].out;
       }
-      lanes_->evaluate_lanes(genes, outs);
+      frame.lanes->evaluate_lanes(genes, outs);
       lanes_ok = true;
     } catch (...) {
       // LaneEvaluator contract: a throwing group has written NO outputs.
@@ -291,43 +330,58 @@ void EvalEngine::process_group(std::size_t start, std::size_t count) const {
     if (lanes_ok) {
       lane_groups_.fetch_add(1, std::memory_order_relaxed);
       lane_items_.fetch_add(count, std::memory_order_relaxed);
-      if (trace_timing_) {
+      if (frame.timing) {
         // Lane groups are timed as a unit; each item is attributed an even
         // share so batch-level latency stats stay comparable. Measurement
         // only — never feeds back into results.
         const Clock::time_point done = Clock::now();
         const double share =
             seconds_between(group_start, done) / static_cast<double>(count);
-        const double offset = seconds_between(trace_submit_, group_start);
+        const double offset = seconds_between(frame.submit, group_start);
         for (std::size_t i = 0; i < count; ++i) {
-          trace_start_s_[start + i] = offset;
-          trace_dur_s_[start + i] = share;
+          frame.start_s[start + i] = offset;
+          frame.dur_s[start + i] = share;
         }
       }
       return;
     }
     lane_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
-  for (std::size_t i = 0; i < count; ++i) process_item(start + i);
+  for (std::size_t i = 0; i < count; ++i) process_item(frame, start + i);
 }
 
-void EvalEngine::emit_batch_event(std::size_t size, double wall_seconds,
+void EvalEngine::run_slots(Frame& frame, std::size_t start, std::size_t count) const {
+  if (frame.task == nullptr) {
+    process_group(frame, start, count);
+    return;
+  }
+  for (std::size_t i = start; i < start + count; ++i) {
+    try {
+      (*frame.task)(i);
+    } catch (...) {
+      frame.record_error(i);
+    }
+  }
+}
+
+void EvalEngine::emit_batch_event(const Frame& frame, double wall_seconds,
                                   std::size_t workers_used) const {
   obs::MinMeanMax latency;
   double queue_wait = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < size; ++i) {
-    latency.add(trace_dur_s_[i]);
-    queue_wait = std::min(queue_wait, trace_start_s_[i]);
+  for (std::size_t i = 0; i < frame.count; ++i) {
+    latency.add(frame.dur_s[i]);
+    queue_wait = std::min(queue_wait, frame.start_s[i]);
   }
   // Utilization: fraction of the pool's wall-clock capacity spent inside
   // Problem::evaluate. 1.0 = perfectly busy workers.
   const double capacity = wall_seconds * static_cast<double>(workers_used);
   const double utilization = capacity > 0.0 ? latency.sum / capacity : 0.0;
 
+  std::lock_guard<std::mutex> lock(sink_mu_);
   const obs::Field fields[] = {obs::u64("batch", trace_batches_),
-                               obs::u64("size", size),
-                               obs::u64("requested", trace_requested_),
-                               obs::u64("cache_hits", trace_cache_hits_),
+                               obs::u64("size", frame.count),
+                               obs::u64("requested", frame.requested),
+                               obs::u64("cache_hits", frame.cache_hits),
                                obs::u64("workers", workers_used),
                                obs::f64("wall_s", wall_seconds),
                                obs::f64("queue_wait_s", queue_wait),
@@ -337,7 +391,7 @@ void EvalEngine::emit_batch_event(std::size_t size, double wall_seconds,
                                obs::f64("utilization", utilization)};
   sink_->record(obs::Event{"batch", obs::TraceLevel::Eval, true, fields});
   ++trace_batches_;
-  trace_items_ += size;
+  trace_items_ += frame.count;
 }
 
 void EvalEngine::arm_watchdog() const {
@@ -385,7 +439,8 @@ void EvalEngine::watchdog_loop() {
   }
 }
 
-void EvalEngine::run_batch(std::span<const Item> items) const {
+void EvalEngine::run_batch(const moga::Problem& problem, std::span<const Item> items,
+                           std::uint64_t requested, std::uint64_t cache_hits) const {
   if (items.empty()) return;
   // Lifetime busy-time accounting for the serve stats snapshot: counts the
   // submitting thread's wall time inside dispatch on every exit path.
@@ -395,7 +450,9 @@ void EvalEngine::run_batch(std::span<const Item> items) const {
     Clock::time_point start;
     explicit BusyScope(const EvalEngine* e) : engine(e), start(Clock::now()) {}
     ~BusyScope() {
-      engine->busy_seconds_ += seconds_between(start, Clock::now());
+      const double seconds = seconds_between(start, Clock::now());
+      std::lock_guard<std::mutex> lock(engine->stats_mu_);
+      engine->busy_seconds_ += seconds;
       ++engine->busy_batches_;
     }
     BusyScope(const BusyScope&) = delete;
@@ -417,126 +474,149 @@ void EvalEngine::run_batch(std::span<const Item> items) const {
   };
   const WatchdogScope watchdog_scope(watchdog_.enabled() ? this : nullptr);
 
-  const bool tracing = sink_ != nullptr && sink_->enabled(obs::TraceLevel::Eval);
-  if (tracing) {
-    trace_start_s_.assign(items.size(), 0.0);
-    trace_dur_s_.assign(items.size(), 0.0);
-    trace_submit_ = Clock::now();
+  Frame frame;
+  frame.items = items.data();
+  frame.count = items.size();
+  frame.problem = &problem;
+  frame.requested = requested;
+  frame.cache_hits = cache_hits;
+  frame.timing = sink_ != nullptr && sink_->enabled(obs::TraceLevel::Eval);
+  if (frame.timing) {
+    frame.start_s.assign(items.size(), 0.0);
+    frame.dur_s.assign(items.size(), 0.0);
+    frame.submit = Clock::now();
   }
-  trace_timing_ = tracing;
 
-  // Lane discovery, per batch (a hub's batch_problem_ changes per batch).
-  // Simd uses lanes whenever the problem supports them; Auto additionally
+  // Lane discovery, per batch (a hub's problem changes per batch). Simd
+  // uses lanes whenever the problem supports them; Auto additionally
   // requires at least one full lane group so tiny batches skip the setup.
-  lanes_ = nullptr;
-  lane_width_ = 1;
   if (batch_eval_ != BatchEval::Scalar) {
-    if (const auto* lanes = dynamic_cast<const LaneEvaluator*>(batch_problem_);
+    if (const auto* lanes = dynamic_cast<const LaneEvaluator*>(&problem);
         lanes != nullptr && lanes->lanes_supported()) {
       const std::size_t width = std::max<std::size_t>(1, lanes->preferred_lane_width());
       if (batch_eval_ == BatchEval::Simd || items.size() >= width) {
-        lanes_ = lanes;
-        lane_width_ = width;
+        frame.lanes = lanes;
+        frame.width = width;
       }
     }
   }
 
-  if (workers_.empty() || items.size() == 1) {
-    // `item_count_` stays 0: it is the workers' "a batch is published"
-    // flag, and a serial batch publishes nothing to them.
-    items_ = items.data();
-    first_error_ = nullptr;
-    first_error_index_ = std::numeric_limits<std::size_t>::max();
-    run_serial(items);
-    items_ = nullptr;
-    const std::exception_ptr error = std::exchange(first_error_, nullptr);
-    if (tracing) {
-      trace_timing_ = false;
-      emit_batch_event(items.size(), seconds_between(trace_submit_, Clock::now()), 1);
-    }
-    if (error) std::rethrow_exception(error);
-    return;
+  // Serial on this thread: no pool, a single item, or a batch submitted
+  // from inside a run_tasks() task. With lanes engaged the whole batch is
+  // ONE evaluate_lanes() call, so the evaluator can pool work across all
+  // of it; the pool claims `width` groups instead, which balance its
+  // workers. Either way every item is attempted and the lowest-index
+  // failure is the one rethrown, so thread count never changes which
+  // items got their results written.
+  const bool serial = workers_.empty() || items.size() == 1 || t_task_engine == this;
+  if (serial) {
+    run_slots(frame, 0, frame.count);
+  } else {
+    dispatch(frame);
   }
+  if (frame.timing) {
+    emit_batch_event(frame, seconds_between(frame.submit, Clock::now()),
+                     serial ? 1 : threads_);
+  }
+  if (frame.first_error) std::rethrow_exception(frame.first_error);
+}
 
+void EvalEngine::run_tasks(std::size_t n,
+                           const std::function<void(std::size_t)>& task) const {
+  if (n == 0) return;
+  Frame frame;
+  frame.task = &task;
+  frame.count = n;
+  if (workers_.empty() || n == 1 || t_task_engine == this) {
+    run_slots(frame, 0, n);
+  } else {
+    staging_ = cache_ != nullptr;
+    dispatch(frame);
+    if (staging_) {
+      // Every task has finished: the frozen LRU takes the staged entries,
+      // client by client in ascending context order (std::map order).
+      for (auto& [context, stage] : stages_) cache_->commit(stage);
+      stages_.clear();
+      staging_ = false;
+    }
+  }
+  if (frame.first_error) std::rethrow_exception(frame.first_error);
+}
+
+void EvalEngine::dispatch(Frame& frame) const {
   std::unique_lock<std::mutex> lock(mu_);
-  // The previous batch was retired (item_count_ = 0) in the same critical
-  // section that saw its last worker leave, and workers only join a
-  // published batch, so none can still be inside one here.
-  ANADEX_CHECK_INVARIANT(active_ == 0,
-                         "a batch is published only while every worker is idle");
-  items_ = items.data();
-  item_count_ = items.size();
-  next_item_.store(0, std::memory_order_relaxed);
-  completed_.store(0, std::memory_order_relaxed);
-  first_error_ = nullptr;
-  first_error_index_ = std::numeric_limits<std::size_t>::max();
+  // The previous frame was retired (current_ = nullptr) in the same
+  // critical section that saw its last worker leave, and workers only join
+  // a published frame, so none can still be inside one here.
+  ANADEX_CHECK_INVARIANT(active_ == 0 && current_ == nullptr,
+                         "a frame is published only while every worker is idle");
+  current_ = &frame;
   ++batch_seq_;
   lock.unlock();
   work_ready_.notify_all();
+  // The caller takes tasks too: it is awake while the workers still have to
+  // wake up, and a wave is at most `threads_` tasks, so the caller plus
+  // the workers that find one never outnumber the pool.
+  if (frame.task != nullptr) claim_slots(frame);
 
   lock.lock();
   batch_done_.wait(lock, [&] {
-    return active_ == 0 && completed_.load(std::memory_order_acquire) == item_count_;
+    return active_ == 0 && frame.completed.load(std::memory_order_acquire) == frame.count;
   });
   if constexpr (kCheckInvariants) {
     // Slot completeness: the index-addressed claim counter must have handed
-    // out every slot exactly once — each item attempted, none skipped, no
-    // slot written twice (completed_ would overshoot item_count_ otherwise).
-    ANADEX_ASSERT(next_item_.load(std::memory_order_relaxed) >= item_count_,
-                  "every batch slot must have been claimed");
-    ANADEX_ASSERT(completed_.load(std::memory_order_acquire) == item_count_,
-                  "every batch slot must complete exactly once");
+    // out every slot exactly once — each slot attempted, none skipped, none
+    // run twice (completed would overshoot count otherwise).
+    ANADEX_ASSERT(frame.next.load(std::memory_order_relaxed) >= frame.count,
+                  "every frame slot must have been claimed");
+    ANADEX_ASSERT(frame.completed.load(std::memory_order_acquire) == frame.count,
+                  "every frame slot must complete exactly once");
   }
-  items_ = nullptr;
-  item_count_ = 0;
-  const std::exception_ptr error = std::exchange(first_error_, nullptr);
-  lock.unlock();
+  current_ = nullptr;
+}
 
-  if (tracing) {
-    trace_timing_ = false;
-    emit_batch_event(items.size(), seconds_between(trace_submit_, Clock::now()),
-                     threads_);
+void EvalEngine::claim_slots(Frame& frame) const {
+  // Claim whole lane groups (width 1 = the classic per-item claim, and the
+  // task claim) so a LaneEvaluator sees contiguous, deterministic groups no
+  // matter which thread lands on them; results are still written by item
+  // index, keeping the bit-identity contract across thread counts and
+  // batch-eval modes. While it runs slots, this thread is marked as one of
+  // the engine's task threads, so a batch that a task submits runs here,
+  // serially.
+  const EvalEngine* const saved = std::exchange(t_task_engine, this);
+  for (;;) {
+    const std::size_t start = frame.next.fetch_add(frame.width, std::memory_order_relaxed);
+    if (start >= frame.count) break;
+    const std::size_t group = std::min(frame.width, frame.count - start);
+    run_slots(frame, start, group);
+    frame.completed.fetch_add(group, std::memory_order_acq_rel);
   }
-  if (error) std::rethrow_exception(error);
+  t_task_engine = saved;
 }
 
 void EvalEngine::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
-    std::size_t count = 0;
-    std::size_t width = 1;
+    Frame* frame = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_ready_.wait(lock, [&] { return stopping_ || batch_seq_ != seen; });
       if (stopping_) return;
-      // Snapshot the batch in the critical section that records `seen`. A
-      // worker that wakes only after batch `seen` was retired finds
-      // item_count_ == 0 and must not join: the claim cursor may already
-      // belong to the next batch, whose slots it would take and drop.
+      // Join the frame in the critical section that records `seen`. A
+      // worker that wakes only after frame `seen` was retired finds
+      // current_ == nullptr and must not join: the frame is gone.
       seen = batch_seq_;
-      count = item_count_;
-      if (count == 0) continue;
-      width = lane_width_;
+      frame = current_;
+      if (frame == nullptr) continue;
       ++active_;
     }
 
-    // Workers claim whole lane groups (width 1 = the classic per-item
-    // claim) so a LaneEvaluator sees contiguous, deterministic groups no
-    // matter which worker lands on them; results are still written by item
-    // index, keeping the bit-identity contract across thread counts and
-    // batch-eval modes.
-    for (;;) {
-      const std::size_t start = next_item_.fetch_add(width, std::memory_order_relaxed);
-      if (start >= count) break;
-      const std::size_t group = std::min(width, count - start);
-      process_group(start, group);
-      completed_.fetch_add(group, std::memory_order_acq_rel);
-    }
+    claim_slots(*frame);
 
     {
       std::lock_guard<std::mutex> lock(mu_);
       --active_;
-      if (active_ == 0 && completed_.load(std::memory_order_acquire) == count) {
+      if (active_ == 0 && frame->completed.load(std::memory_order_acquire) == frame->count) {
         batch_done_.notify_all();
       }
     }

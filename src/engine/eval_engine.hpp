@@ -22,6 +22,8 @@
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
+#include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -87,9 +89,14 @@ struct EvalWatchdog {
 /// per-run shape) or a HUB (constructed without a problem): a hub serves
 /// many clients through evaluate_members_as(), each naming its own problem
 /// and a cache `context` word per batch, so `anadex serve` can multiplex
-/// every job over one worker pool and one dedup cache. Batches are
-/// serialized by the submitting caller either way — the engine supports
-/// one in-flight batch at a time.
+/// every job over one worker pool and one dedup cache.
+///
+/// Threading: one caller at a time submits top-level work — a batch or a
+/// run_tasks() call — and the pool serves it. Tasks started by run_tasks()
+/// may themselves submit batches concurrently; each such batch runs
+/// serially on the worker that runs its task. Every batch owns its state
+/// (a frame on the submitting thread's stack), and the engine-wide
+/// counters, the trace sink and the cache are synchronized.
 class EvalEngine final : public Evaluator {
  public:
   /// `threads`: 1 = serial on the calling thread (no pool is spawned),
@@ -152,9 +159,9 @@ class EvalEngine final : public Evaluator {
   BatchEval batch_eval() const { return batch_eval_; }
 
   /// Lane-path accounting across the engine's lifetime: evaluate_lanes()
-  /// calls (a serial engine makes one per batch, a pool one per claimed
-  /// group of preferred_lane_width() items), items inside those calls, and
-  /// calls that threw and were re-run item-by-item on the scalar path.
+  /// calls (a serial batch makes one, a pooled batch one per claimed group
+  /// of preferred_lane_width() items), items inside those calls, and calls
+  /// that threw and were re-run item-by-item on the scalar path.
   std::uint64_t lane_groups() const { return lane_groups_.load(std::memory_order_relaxed); }
   std::uint64_t lane_items() const { return lane_items_.load(std::memory_order_relaxed); }
   std::uint64_t lane_fallbacks() const { return lane_fallbacks_.load(std::memory_order_relaxed); }
@@ -166,16 +173,16 @@ class EvalEngine final : public Evaluator {
   /// engine's lifetime. `requested` always counts submitted items, so the
   /// paper's evaluation-budget figures stay honest whether or not the
   /// cache absorbed any of them. On a hub this aggregates every client.
-  const EvalStats& stats() const { return stats_; }
+  EvalStats stats() const;
 
   /// Batches dispatched over the engine's lifetime (serial and pooled).
-  std::uint64_t busy_batches() const { return busy_batches_; }
+  std::uint64_t busy_batches() const;
 
-  /// Wall-clock seconds the engine spent inside batch dispatch, summed
-  /// over its lifetime. With the service's elapsed time this yields the
-  /// engine-utilization figure in the serve stats snapshot; it is
-  /// measurement only and never feeds back into results.
-  double busy_seconds() const { return busy_seconds_; }
+  /// Wall-clock seconds spent inside batch dispatch, summed over the
+  /// engine's batches. Batches submitted by concurrent tasks each count,
+  /// so the sum may exceed elapsed time. Measurement only; it never feeds
+  /// back into results.
+  double busy_seconds() const;
 
   void evaluate_batch(std::span<const Genome> genomes,
                       std::span<moga::Evaluation> out) const override;
@@ -194,6 +201,26 @@ class EvalEngine final : public Evaluator {
                            std::span<moga::Individual> members,
                            EvalStats* client = nullptr) const;
 
+  /// Runs task(0) .. task(n - 1) as one unit of pool work under the batch
+  /// contract: every index runs exactly once, and once all have finished
+  /// the exception of the lowest-index task that threw is rethrown. A
+  /// single task, an engine without a pool, or a call from inside a task
+  /// runs the tasks on the calling thread in index order. Otherwise the
+  /// calling thread and the pool workers claim tasks one at a time, and a
+  /// batch submitted from inside a task runs serially on its thread — with
+  /// lanes engaged, as ONE evaluate_lanes() call, as on a 1-thread engine.
+  ///
+  /// While tasks run concurrently the shared cache is frozen: each client
+  /// context reads the LRU without refreshing it and stages what it would
+  /// have inserted or refreshed, seeing its own staged entries. When the
+  /// last task has finished, the staged entries enter the LRU in ascending
+  /// context order, so every client's hit counts are a function of the
+  /// submitted work alone, never of timing. Concurrent tasks must
+  /// therefore submit under distinct contexts. The watchdog tracks one
+  /// in-flight batch, so tasks that submit batches need an engine without
+  /// one (serve::JobScheduler refuses a hub that has one).
+  void run_tasks(std::size_t n, const std::function<void(std::size_t)>& task) const;
+
   /// The single-item path: a checked evaluation of one genome, identical
   /// to Problem::evaluated(). One-off call sites (CLIs, archives, tests)
   /// route through here so the engine is the only evaluation entry point.
@@ -204,10 +231,44 @@ class EvalEngine final : public Evaluator {
   static std::size_t resolve_threads(std::size_t requested);
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   /// One unit of batch work: a genome to evaluate and where the result goes.
   struct Item {
     const Genome* genes = nullptr;
     moga::Evaluation* out = nullptr;
+  };
+
+  /// The state of ONE batch (or one run_tasks call), owned by the call that
+  /// submits it and living on its stack. Workers reach it only through
+  /// `current_`, joined under `mu_`, so a worker that wakes late for a
+  /// retired frame never touches the next one.
+  struct Frame {
+    // What runs: `count` evaluation items, or `count` tasks when `task` is set.
+    const Item* items = nullptr;
+    const std::function<void(std::size_t)>* task = nullptr;
+    std::size_t count = 0;
+    const moga::Problem* problem = nullptr;
+    /// Lane evaluator of this batch (null = scalar) and the group width
+    /// workers claim by (1 for scalar batches and tasks).
+    const LaneEvaluator* lanes = nullptr;
+    std::size_t width = 1;
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> completed{0};
+    std::mutex error_mu;
+    std::exception_ptr first_error;
+    std::size_t first_error_index = 0;
+    // Timing (eval-level tracing only): per-item slots, each written by the
+    // one worker that claimed the item and read after the batch barrier.
+    bool timing = false;
+    Clock::time_point submit;
+    std::vector<double> start_s;  ///< per-item start, s after submit
+    std::vector<double> dur_s;    ///< per-item evaluate duration, s
+    std::uint64_t requested = 0;   ///< items submitted (before dedup)
+    std::uint64_t cache_hits = 0;  ///< LRU hits of this batch
+
+    /// Keeps the exception of the lowest-index failure.
+    void record_error(std::size_t index);
   };
 
   /// The cache layer: dedups `items`, dispatches the distinct misses
@@ -217,8 +278,23 @@ class EvalEngine final : public Evaluator {
   /// batch's stats deltas alongside the engine totals.
   void submit(const moga::Problem& problem, std::uint64_t context,
               std::span<const Item> items, EvalStats* client) const;
-  void run_batch(std::span<const Item> items) const;
-  void run_serial(std::span<const Item> items) const;
+  /// Cache access through `stage` while tasks run concurrently, straight
+  /// to the LRU otherwise (stage == nullptr).
+  bool cache_lookup(EvalCache::Stage* stage, const Genome& genes, std::uint64_t hash,
+                    moga::Evaluation& out, std::uint64_t context) const;
+  void cache_store(EvalCache::Stage* stage, const Genome& genes, std::uint64_t hash,
+                   const moga::Evaluation& eval, std::uint64_t context) const;
+  /// Evaluates `items` under `problem`; `requested`/`cache_hits` only feed
+  /// the batch trace event.
+  void run_batch(const moga::Problem& problem, std::span<const Item> items,
+                 std::uint64_t requested, std::uint64_t cache_hits) const;
+  /// Publishes `frame` to the pool and waits until every slot completed;
+  /// for a task frame the caller claims tasks as well.
+  void dispatch(Frame& frame) const;
+  /// Claims and runs slots of `frame` on this thread until none is left.
+  void claim_slots(Frame& frame) const;
+  /// Runs the `count` slots of `frame` starting at `start` on this thread.
+  void run_slots(Frame& frame, std::size_t start, std::size_t count) const;
   /// Starts the per-batch deadline clock (watchdog enabled only).
   void arm_watchdog() const;
   /// Stops the clock; if the deadline fired, clears the token (the batch
@@ -226,62 +302,51 @@ class EvalEngine final : public Evaluator {
   /// the fire. Returns whether it fired.
   bool disarm_watchdog() const;
   void watchdog_loop();
-  /// Evaluates items_[index], recording the lowest-index exception.
-  void process_item(std::size_t index) const;
-  /// Evaluates the `count` items starting at items_[start]: through the
-  /// batch's LaneEvaluator when one is active (falling back to per-item
-  /// scalar evaluation if the call throws), item-by-item otherwise. The
-  /// serial path passes the whole batch, pool workers one claimed group.
-  void process_group(std::size_t start, std::size_t count) const;
+  /// Evaluates frame.items[index], recording the lowest-index exception.
+  void process_item(Frame& frame, std::size_t index) const;
+  /// Evaluates the `count` items starting at frame.items[start]: through
+  /// the batch's LaneEvaluator when one is active (falling back to per-item
+  /// scalar evaluation if the call throws), item-by-item otherwise. A
+  /// serial batch passes all of its items, pool workers one claimed group.
+  void process_group(Frame& frame, std::size_t start, std::size_t count) const;
   void worker_loop();
   /// Folds the per-item clocks of the finished batch into one timed
   /// "batch" event (eval level only).
-  void emit_batch_event(std::size_t size, double wall_seconds,
+  void emit_batch_event(const Frame& frame, double wall_seconds,
                         std::size_t workers_used) const;
 
   const moga::Problem* problem_ = nullptr;  ///< null on a hub engine
   std::size_t threads_ = 1;
   obs::EventSink* sink_ = nullptr;
 
-  // Memoization (null when cache_capacity == 0). The cache and the stats
-  // are only touched from the batch-submitting thread — dedup happens
-  // before dispatch and fan-out after the batch barrier — so the counters
-  // need no atomics. busy_* follow the same discipline (written only in
-  // run_batch on the submitting thread).
+  // Memoization (null when cache_capacity == 0). EvalCache locks itself;
+  // `staging_` is set only while run_tasks() runs tasks concurrently, and
+  // is written before their frame is published and cleared after it is
+  // retired, so tasks read it race-free.
   mutable std::unique_ptr<EvalCache> cache_;
+  mutable bool staging_ = false;
+  mutable std::mutex stage_mu_;  ///< guards the map; each Stage has one client
+  mutable std::map<std::uint64_t, EvalCache::Stage> stages_;  ///< by context
+
+  // Lifetime counters, written by every batch (concurrent tasks included).
+  mutable std::mutex stats_mu_;
   mutable EvalStats stats_;
   mutable std::uint64_t busy_batches_ = 0;
   mutable double busy_seconds_ = 0.0;
 
-  // Batch hand-off state. The caller publishes a batch under `mu_` and
-  // waits on `batch_done_`; workers claim items via the atomic cursor and
-  // write results by index. `item_count_`/`items_` only change while every
-  // worker is idle (active_ == 0), `item_count_` only under `mu_`, and
-  // `item_count_ == 0` means no batch is published (a serial batch
-  // publishes none). A worker snapshots the batch and joins it (++active_)
-  // in one critical section, and only when item_count_ != 0, so a late
-  // wake-up can never join a retired batch.
+  // Pool hand-off. The caller publishes a frame under `mu_` and waits on
+  // `batch_done_`; workers claim slots via the frame's atomic cursor and
+  // write results by index. `current_` changes only under `mu_` and only
+  // while every worker is idle (active_ == 0); null means nothing is
+  // published (a serial batch publishes nothing). A worker snapshots the
+  // frame and joins it (++active_) in one critical section, so a late
+  // wake-up can never join a retired frame.
   mutable std::mutex mu_;
   mutable std::condition_variable work_ready_;
   mutable std::condition_variable batch_done_;
-  /// The problem the CURRENT batch evaluates against. Published under the
-  /// same discipline as `items_` (written before release, stable while any
-  /// worker is active); equals `problem_` on a bound engine and the
-  /// caller-supplied problem on a hub.
-  mutable const moga::Problem* batch_problem_ = nullptr;
-  /// Lane evaluator of the CURRENT batch (null = scalar), and the group
-  /// width workers claim by. Published with `items_` under the same
-  /// discipline; re-discovered per batch (hubs switch problems per batch).
-  mutable const LaneEvaluator* lanes_ = nullptr;
-  mutable std::size_t lane_width_ = 1;
-  mutable const Item* items_ = nullptr;
-  mutable std::size_t item_count_ = 0;
-  mutable std::atomic<std::size_t> next_item_{0};
-  mutable std::atomic<std::size_t> completed_{0};
-  mutable std::size_t active_ = 0;        ///< workers inside the current batch
-  mutable std::uint64_t batch_seq_ = 0;   ///< bumped per published batch
-  mutable std::exception_ptr first_error_;
-  mutable std::size_t first_error_index_ = 0;
+  mutable Frame* current_ = nullptr;
+  mutable std::size_t active_ = 0;        ///< workers inside the current frame
+  mutable std::uint64_t batch_seq_ = 0;   ///< bumped per published frame
   BatchEval batch_eval_ = BatchEval::Scalar;
   mutable std::atomic<std::uint64_t> lane_groups_{0};
   mutable std::atomic<std::uint64_t> lane_items_{0};
@@ -296,26 +361,18 @@ class EvalEngine final : public Evaluator {
   EvalWatchdog watchdog_;
   mutable std::mutex watch_mu_;
   mutable std::condition_variable watch_cv_;
-  mutable std::chrono::steady_clock::time_point watch_deadline_;
+  mutable Clock::time_point watch_deadline_;
   mutable bool watch_armed_ = false;
   mutable bool watch_fired_ = false;
   bool watch_stop_ = false;
   mutable std::size_t watchdog_fires_ = 0;
   std::thread watchdog_thread_;
 
-  // Batch timing (populated only when sink_ is enabled at eval level).
-  // `trace_timing_` and the per-item clock arrays follow the same
-  // publication discipline as `items_`: written under `mu_` before a batch
-  // is released, each slot then written by exactly one worker (by item
-  // index), read by the caller only after the batch barrier.
-  mutable bool trace_timing_ = false;
-  mutable std::chrono::steady_clock::time_point trace_submit_;
-  mutable std::vector<double> trace_start_s_;  ///< per-item start, s after submit
-  mutable std::vector<double> trace_dur_s_;    ///< per-item evaluate duration, s
+  // Trace sink access and its totals; the sink itself need not be
+  // thread-safe, so every record() holds `sink_mu_`.
+  mutable std::mutex sink_mu_;
   mutable std::uint64_t trace_batches_ = 0;
   mutable std::uint64_t trace_items_ = 0;
-  mutable std::uint64_t trace_requested_ = 0;   ///< items submitted this batch
-  mutable std::uint64_t trace_cache_hits_ = 0;  ///< LRU hits this batch
 };
 
 }  // namespace anadex::engine

@@ -83,11 +83,16 @@ JobState Job::run_slice(std::size_t budget) {
   // on_generation, so raising the slice token
   // inside the chained callback preempts exactly at the barrier the budget
   // names — deterministically, with no wall clock involved. The caller's
-  // own stop token and a pending cancel() route through the same seam.
+  // own stop token and a pending cancel() route through the same seam;
+  // when either is already up, the slice token starts raised, so the
+  // evolvers see exactly what a token passed to them directly shows.
   slice_stop_->reset();
   CancelToken* slice_stop = slice_stop_.get();
   const CancelToken* user_stop = settings_.stop;
   const bool* cancelled = &cancel_requested_;
+  if ((user_stop != nullptr && user_stop->requested()) || *cancelled) {
+    slice_stop->request();
+  }
   // Budget enforcement needs a checkpoint to hand the rest of the work to
   // the next slice; non-preemptible jobs run to completion instead.
   const std::size_t effective_budget = preemptible() ? budget : 0;

@@ -1,6 +1,8 @@
 #include "robust/checkpoint.hpp"
 
+#include <algorithm>
 #include <array>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -443,17 +445,49 @@ std::optional<RecoveredCheckpoint> recover_checkpoint(const std::string& base_pa
   ANADEX_REQUIRE(!base_path.empty(), "checkpoint path must be non-empty");
   ANADEX_REQUIRE(max_slots >= 1, "recovery must scan at least one slot");
   RecoveredCheckpoint out;
-  for (std::size_t slot = 0; slot < max_slots; ++slot) {
+  const auto try_slot = [&](std::size_t slot) {
     const std::string path = slot_path(base_path, slot);
     std::ifstream is(path);
-    if (!is.good()) continue;  // missing slots (mid-rotation crashes) are fine
+    if (!is.good()) return false;
     try {
       out.checkpoint = load_checkpoint(is, path);
       out.path = path;
-      return out;
+      return true;
     } catch (const std::exception& e) {
       out.rejected.push_back(std::string(e.what()));
+      return false;
     }
+  };
+  // The newest slot answers the common resume on its own. Otherwise one
+  // directory listing names the older slots that exist, so a fresh run
+  // does not pay max_slots failed opens; missing slots (mid-rotation
+  // crashes) are fine, and the present ones are tried newest-first.
+  if (try_slot(0)) return out;
+  namespace fs = std::filesystem;
+  const fs::path base(base_path);
+  const std::string name = base.filename().string();
+  std::vector<std::size_t> present;
+  std::error_code ec;
+  for (fs::directory_iterator it(base.has_parent_path() ? base.parent_path() : fs::path("."), ec),
+       end;
+       !ec && it != end; it.increment(ec)) {
+    const std::string file = it->path().filename().string();
+    if (file.size() <= name.size() + 1 || file.compare(0, name.size(), name) != 0 ||
+        file[name.size()] != '.') {
+      continue;
+    }
+    // Only the names slot_path writes: "<name>.<k>", k canonical decimal.
+    const std::string digits = file.substr(name.size() + 1);
+    std::size_t slot = 0;
+    const auto parsed = std::from_chars(digits.data(), digits.data() + digits.size(), slot);
+    if (parsed.ec == std::errc() && slot > 0 && slot < max_slots &&
+        std::to_string(slot) == digits) {
+      present.push_back(slot);
+    }
+  }
+  std::sort(present.begin(), present.end());
+  for (const std::size_t slot : present) {
+    if (try_slot(slot)) return out;
   }
   return std::nullopt;
 }

@@ -1,7 +1,9 @@
 #include "serve/scheduler.hpp"
 
 #include <array>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -23,6 +25,9 @@ JobScheduler::JobScheduler(SchedulerConfig config) : config_(config) {
     ANADEX_REQUIRE(config_.hub->is_hub(),
                    "scheduler: the shared engine must be a hub "
                    "(problem-less EvalEngine)");
+    ANADEX_REQUIRE(!config_.hub->watchdog().enabled(),
+                   "scheduler: a hub watchdog times one in-flight batch, and a "
+                   "wave runs one batch per job at once");
   }
 }
 
@@ -34,6 +39,22 @@ std::size_t JobScheduler::admit(std::string id, expt::RunSettings settings) {
     settings.engine.context = static_cast<std::uint64_t>(slots_.size()) + 1;
     // The shared pool decides parallelism; the per-run thread knob only
     // matters for private engines (and EngineLease ignores it when shared).
+  }
+  // Jobs of one wave run concurrently, but their callbacks never do.
+  if (settings.on_generation) {
+    settings.on_generation = [mu = callback_mu_, inner = std::move(settings.on_generation)](
+                                 std::size_t gen, const moga::Population& population) {
+      const std::lock_guard<std::mutex> lock(*mu);
+      inner(gen, population);
+    };
+  }
+  if (settings.checkpoint_write_hook) {
+    settings.checkpoint_write_hook =
+        [mu = callback_mu_, inner = std::move(settings.checkpoint_write_hook)](
+            robust::CheckpointWritePhase phase, const std::string& path) {
+          const std::lock_guard<std::mutex> lock(*mu);
+          inner(phase, path);
+        };
   }
   // Throws PreconditionError on invalid settings; nothing is enqueued.
   expt::Job job = expt::Job::from_settings(std::move(settings));
@@ -52,9 +73,8 @@ std::size_t JobScheduler::admit(std::string id, expt::RunSettings settings) {
   return slot;
 }
 
-void JobScheduler::run_one(std::size_t slot) {
-  expt::Job& job = slots_[slot].job;
-  const expt::JobState state = job.run_slice(config_.slice_generations);
+void JobScheduler::record_slice(std::size_t slot, expt::JobState state) {
+  const expt::Job& job = slots_[slot].job;
   ++stats_.slices;
   switch (state) {
     case expt::JobState::Snapshotted:
@@ -88,15 +108,28 @@ void JobScheduler::run_one(std::size_t slot) {
 }
 
 bool JobScheduler::step() {
-  // One full lap from the cursor; the first runnable job gets a slice.
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
+  // The wave: the next runnable jobs of one lap from the cursor, at most
+  // one per hub worker.
+  const std::size_t width = config_.hub != nullptr ? config_.hub->threads() : 1;
+  std::vector<std::size_t> wave;
+  for (std::size_t i = 0; i < slots_.size() && wave.size() < width; ++i) {
     const std::size_t slot = (cursor_ + i) % slots_.size();
-    if (!slots_[slot].job.runnable()) continue;
-    run_one(slot);
-    cursor_ = (slot + 1) % slots_.size();
-    return true;
+    if (slots_[slot].job.runnable()) wave.push_back(slot);
   }
-  return false;
+  if (wave.empty()) return false;
+
+  std::vector<expt::JobState> states(wave.size());
+  const auto run = [&](std::size_t k) {
+    states[k] = slots_[wave[k]].job.run_slice(config_.slice_generations);
+  };
+  if (wave.size() == 1) {
+    run(0);
+  } else {
+    config_.hub->run_tasks(wave.size(), run);
+  }
+  for (std::size_t k = 0; k < wave.size(); ++k) record_slice(wave[k], states[k]);
+  cursor_ = (wave.back() + 1) % slots_.size();
+  return true;
 }
 
 bool JobScheduler::run_all() {

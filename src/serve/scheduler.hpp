@@ -19,14 +19,31 @@
 // capacity, not data). With no hub each job builds private engines, which
 // is how the solo path has always run.
 //
-// Threading: the scheduler itself is single-threaded — admit and run from
-// one thread; parallelism lives inside the engine. Service shutdown is the
-// `stop` token: run_all() returns between slices when it is raised, leaving
-// every in-flight job Snapshotted for the next daemon start to resume.
+// Waves: when several jobs are runnable, step() runs the next
+// k = min(runnable, hub threads) of them in round-robin order as one WAVE —
+// their slices run concurrently as tasks on the hub's own pool
+// (EvalEngine::run_tasks, the calling thread taking one), each job's
+// batches serially on its thread, so
+// Monte Carlo pools across the whole batch exactly as on one thread. The
+// bookkeeping (ServiceStats, job_slice events) then runs in wave order. A
+// wave is a contiguous stretch of the round-robin lap, so the job_slice
+// sequence is what one-slice-at-a-time scheduling gives. A one-job wave —
+// every wave of a 1-thread hub or a lone job — runs on the calling thread,
+// as the scheduler always has. The scheduler serializes the jobs'
+// on_generation and checkpoint_write_hook callbacks, so callers may keep
+// unsynchronized state in them.
+//
+// Admit and step from one thread. Service shutdown is the `stop` token:
+// run_all() returns between waves when it is raised, and each job in the
+// current wave stops at its next generation barrier (the daemon wires the
+// token into every job's settings.stop), leaving it Snapshotted for the
+// next daemon start to resume.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -43,12 +60,14 @@ struct SchedulerConfig {
   /// completion in their single slice.
   std::size_t slice_generations = 25;
   /// Shared evaluation hub (engine::EvalEngine in hub mode), or nullptr for
-  /// private per-job engines. Non-owning; must outlive the scheduler.
+  /// private per-job engines. Non-owning; must outlive the scheduler. Its
+  /// thread count is the wave width. A hub with a watchdog is refused: its
+  /// one deadline cannot time the concurrent batches of a wave.
   engine::EvalEngine* hub = nullptr;
-  /// Service shutdown token (non-owning). Checked between slices by
-  /// run_all(); a raised token stops scheduling after the current slice,
-  /// which itself stops at its next generation barrier (Job wires the same
-  /// token into every slice via settings.stop).
+  /// Service shutdown token (non-owning). Checked between waves by
+  /// run_all(); a raised token stops scheduling after the current wave,
+  /// whose jobs each stop at their next generation barrier (Job wires the
+  /// same token into every slice via settings.stop).
   const CancelToken* stop = nullptr;
   /// Service-level telemetry (job_admitted / job_slice events); may be null.
   obs::EventSink* sink = nullptr;
@@ -81,13 +100,14 @@ class JobScheduler {
   /// Records a request that failed parse/admission (stats only).
   void note_rejected() { ++stats_.rejected; }
 
-  /// Runs one slice of the next runnable job in round-robin order.
-  /// Returns false when no job is runnable (all terminal, stuck, or none
-  /// admitted) — it does NOT consult the stop token; run_all() owns that.
+  /// Runs one wave: a slice of each of the next min(runnable, hub threads)
+  /// runnable jobs in round-robin order (one job without a hub). Returns
+  /// false when no job is runnable (all terminal, stuck, or none admitted)
+  /// — it does NOT consult the stop token; run_all() owns that.
   bool step();
 
-  /// Round-robins slices until no job is runnable or the stop token is
-  /// raised. Returns true when every admitted job reached a terminal state
+  /// Runs waves until no job is runnable or the stop token is raised.
+  /// Returns true when every admitted job reached a terminal state
   /// (Done / Failed / Cancelled).
   bool run_all();
 
@@ -100,7 +120,8 @@ class JobScheduler {
   const ServiceStats& stats() const { return stats_; }
 
  private:
-  void run_one(std::size_t slot);
+  /// Books one finished slice: stats and the job_slice event.
+  void record_slice(std::size_t slot, expt::JobState state);
 
   struct Slot {
     std::string id;
@@ -111,6 +132,9 @@ class JobScheduler {
   std::vector<Slot> slots_;
   std::size_t cursor_ = 0;  ///< next slot considered by step()
   ServiceStats stats_;
+  /// Held while any job's on_generation or checkpoint_write_hook runs.
+  /// Shared with the wrappers admit() installs, which outlive moves.
+  std::shared_ptr<std::mutex> callback_mu_ = std::make_shared<std::mutex>();
 };
 
 }  // namespace anadex::serve

@@ -404,10 +404,10 @@ std::vector<StopPoint> stop_points(Algo algo) {
   const bool partitioned = algo == Algo::SACGA || algo == Algo::MESACGA;
   const std::size_t last = algo == Algo::MESACGA ? 28 : 30;
   std::vector<StopPoint> points;
-  // A Job relays the caller's token through its on_generation chain, so a
-  // pre-raised stop is first seen at the barrier after generation 1 (the
-  // zero-step phase-I case is pinned at the evolver level, resume_test).
-  points.push_back({"pre-raised", 0, 1});
+  // A pre-raised stop reaches the evolver as raised: phase I polls before
+  // its first step and takes none; every other evolver stops at the barrier
+  // after generation 1.
+  points.push_back({"pre-raised", 0, partitioned ? 0u : 1u});
   if (partitioned) {
     points.push_back({"mid phase I", 3, 3});
     // Phase I ends at its cap without polling again: the first phase-II
@@ -450,8 +450,10 @@ TEST(Runner, StopTokenInterruptsAtTheBarrierAndResumeAutoFinishes) {
       EXPECT_EQ(partial.generations, point.generations) << label;
       EXPECT_EQ(partial.interrupted, stopped_early) << label;
       // The regular snapshots, plus one off-cycle snapshot at the stop
-      // unless the cadence just wrote that generation.
-      const std::size_t off_cycle = stopped_early && point.generations % kEvery != 0 ? 1 : 0;
+      // unless the cadence just wrote that generation (generation 0 is
+      // never on the cadence).
+      const bool cadence_wrote = point.generations > 0 && point.generations % kEvery == 0;
+      const std::size_t off_cycle = stopped_early && !cadence_wrote ? 1 : 0;
       EXPECT_EQ(writes, point.generations / kEvery + off_cycle) << label;
 
       RunSettings resuming = smoke_settings(info.algo);

@@ -3,11 +3,14 @@
 // per-job fronts, evaluation counts and final checkpoints byte-identical
 // to solo runs of the same settings, at thread counts {1, 8}, for
 // {solo, 2-job, 4-job} interleavings — including a mid-slice stop drill
-// that snapshots every job and resumes them all in a fresh scheduler.
+// that snapshots every job and resumes them all in a fresh scheduler. The
+// wave matrix runs six jobs of different lengths over hubs of {1, 2, 4, 8}
+// threads, so waves of concurrent slices shrink and wrap around the lap.
 #include "serve/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -18,7 +21,9 @@
 #include "common/cancel.hpp"
 #include "common/check.hpp"
 #include "engine/eval_engine.hpp"
+#include "obs/event_sink.hpp"
 #include "problems/spec_suite.hpp"
+#include "serve/spool.hpp"
 
 namespace anadex::serve {
 namespace {
@@ -194,6 +199,142 @@ TEST(JobScheduler, MidSliceStopDrillResumesAllJobs) {
     expect_matches_baseline(scheduler.job(i), baselines[i], paths[i],
                             "drill job=" + std::to_string(i));
   }
+}
+
+/// Six jobs of six algorithms and different lengths: as the short ones
+/// finish, waves shrink and wrap around the round-robin lap.
+std::vector<expt::RunSettings> wave_jobs() {
+  const expt::Algo algos[] = {expt::Algo::TPG,     expt::Algo::SACGA,
+                              expt::Algo::SPEA2,   expt::Algo::MESACGA,
+                              expt::Algo::LocalOnly, expt::Algo::Island};
+  const std::size_t generations[] = {36, 22, 30, 32, 14, 40};
+  std::vector<expt::RunSettings> jobs(6);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    expt::RunSettings& s = jobs[i];
+    s.algo = algos[i];
+    s.spec = easy_spec();
+    s.population = 16;
+    s.generations = generations[i];
+    s.partitions = 4;
+    s.mesacga_schedule = {4, 2, 1};
+    s.phase1_cap = 12;
+    s.checkpoint_every = 12;
+    s.seed = 11 + i;
+    s.trace_level = obs::TraceLevel::Gen;
+  }
+  return jobs;
+}
+
+/// Records the service's job_slice events as "job/state/slices/generations".
+class SliceLog final : public obs::EventSink {
+ public:
+  bool enabled(obs::TraceLevel level) const override {
+    return level == obs::TraceLevel::Gen;
+  }
+  void record(const obs::Event& event) override {
+    if (event.name != "job_slice") return;
+    std::string line;
+    for (const obs::Field& f : event.fields) {
+      line += f.kind == obs::Field::Kind::Str ? std::string(f.str) : std::to_string(f.u64);
+      line += '/';
+    }
+    lines.push_back(line);
+  }
+  std::vector<std::string> lines;
+};
+
+/// What one job of a wave run leaves behind.
+struct WaveJob {
+  expt::RunOutcome outcome;
+  std::string checkpoint;
+  std::string trace;
+  std::string result;  ///< the daemon's result file
+};
+
+struct WaveRun {
+  std::vector<WaveJob> jobs;
+  std::vector<std::string> slices;  ///< job_slice sequence
+};
+
+/// Runs `jobs` through one scheduler: over a hub of `threads` threads with
+/// a 512-entry cache that overflows, or with private engines (threads 0).
+WaveRun run_wave(const std::vector<expt::RunSettings>& jobs, std::size_t threads,
+                 const std::string& tag) {
+  engine::EvalEngine hub(std::max<std::size_t>(threads, 1), nullptr, 512);
+  SliceLog log;
+  SchedulerConfig config;
+  config.slice_generations = 10;  // off-cycle vs checkpoint_every = 12
+  config.hub = threads > 0 ? &hub : nullptr;
+  config.sink = &log;
+  JobScheduler scheduler(config);
+  std::vector<expt::RunSettings> admitted;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    expt::RunSettings settings = jobs[i];
+    settings.checkpoint_path = unique_path(tag + "_" + std::to_string(i));
+    settings.trace_path = settings.checkpoint_path + ".trace.jsonl";
+    std::filesystem::remove(settings.trace_path);
+    admitted.push_back(settings);
+    scheduler.admit("job" + std::to_string(i), std::move(settings));
+  }
+  EXPECT_TRUE(scheduler.run_all()) << tag;
+  const std::filesystem::path results = testing::TempDir() + "anadex_wave_" + tag;
+  std::filesystem::remove_all(results);
+  std::filesystem::create_directories(results);
+  WaveRun run;
+  run.slices = log.lines;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const expt::Job& job = scheduler.job(i);
+    EXPECT_EQ(job.state(), expt::JobState::Done) << tag << " job " << i;
+    JobResult result;
+    result.id = scheduler.id(i);
+    result.state = expt::job_state_name(job.state());
+    result.has_outcome = true;
+    result.outcome = job.outcome();
+    write_result_file(results, result);
+    run.jobs.push_back(WaveJob{job.outcome(), file_bytes(admitted[i].checkpoint_path),
+                               file_bytes(admitted[i].trace_path),
+                               file_bytes(result_path(results, result.id).string())});
+  }
+  return run;
+}
+
+TEST(JobScheduler, WaveMatrixMatchesSoloAndKeepsTheSliceSequence) {
+  const auto jobs = wave_jobs();
+  // Solo: each job alone in its own scheduler, sliced the same way.
+  std::vector<WaveJob> solo;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    solo.push_back(run_wave({jobs[i]}, 0, "solo" + std::to_string(i)).jobs.front());
+  }
+  std::vector<std::string> sequential;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                                    std::size_t{8}}) {
+    const std::string tag = "t" + std::to_string(threads);
+    const WaveRun first = run_wave(jobs, threads, tag + "a");
+    const WaveRun second = run_wave(jobs, threads, tag + "b");
+    if (threads == 1) sequential = first.slices;
+    EXPECT_EQ(first.slices, sequential) << tag;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const std::string label = tag + " job " + std::to_string(i);
+      const WaveJob& got = first.jobs[i];
+      EXPECT_TRUE(same_front(got.outcome.front, solo[i].outcome.front)) << label;
+      EXPECT_EQ(got.outcome.evaluations, solo[i].outcome.evaluations) << label;
+      EXPECT_EQ(got.checkpoint, solo[i].checkpoint) << label;
+      EXPECT_EQ(got.trace, solo[i].trace) << label;
+      // The cache overflows, yet each job's hit counts — and so its whole
+      // result file — are a function of the requests, threads and capacity.
+      EXPECT_EQ(got.result, second.jobs[i].result) << label;
+    }
+  }
+  // Six jobs, slices of 10 generations: 4+3+3+4+2+4 slices in all.
+  EXPECT_EQ(sequential.size(), 20u);
+}
+
+TEST(JobScheduler, RefusesAHubWithAWatchdog) {
+  CancelToken token;
+  engine::EvalEngine hub(2, nullptr, 64, engine::EvalWatchdog{&token, 5.0});
+  SchedulerConfig config;
+  config.hub = &hub;
+  EXPECT_THROW(JobScheduler{config}, PreconditionError);
 }
 
 TEST(JobScheduler, AdmissionRejectsInvalidSettingsWithoutEnqueueing) {
