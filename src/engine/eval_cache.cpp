@@ -178,6 +178,18 @@ void EvalCache::Stage::add(std::span<const double> genes, std::uint64_t hash,
   Entry* const entry = make_entry(genes, hash, eval, context_);
   entries_.push_back(entry);
   index_.emplace(hash, entry);
+  if (entries_.size() > capacity_) {
+    Entry* const oldest = entries_.front();
+    entries_.pop_front();
+    auto [lo, hi] = index_.equal_range(oldest->hash);
+    for (auto it = lo; it != hi; ++it) {
+      if (it->second == oldest) {
+        index_.erase(it);
+        break;
+      }
+    }
+    free_entry(oldest);
+  }
 }
 
 bool EvalCache::coherent() const {

@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <shared_mutex>
 #include <span>
@@ -143,15 +144,19 @@ class EvalCache {
 
 /// What one client would insert into (or refresh in) an EvalCache while the
 /// cache is frozen, built without its lock: entries in first-touch order,
-/// found again by their client, until EvalCache::commit() adopts them.
-/// Single-client: not synchronized.
+/// found again by their client, until EvalCache::commit() adopts them. It
+/// holds at most `capacity` entries, the cache's own bound: past that it
+/// drops its first-touched entry, which the commit would have pushed out
+/// of the LRU anyway. Single-client: not synchronized.
 class EvalCache::Stage {
  public:
-  explicit Stage(std::uint64_t context) : context_(context) {}
+  Stage(std::uint64_t context, std::size_t capacity) : context_(context), capacity_(capacity) {}
   ~Stage();
 
   Stage(const Stage&) = delete;
   Stage& operator=(const Stage&) = delete;
+
+  std::size_t size() const { return entries_.size(); }
 
   /// Copies the staged result for `genes` into `out`; false when none.
   bool lookup(std::span<const double> genes, std::uint64_t hash,
@@ -163,7 +168,8 @@ class EvalCache::Stage {
  private:
   friend class EvalCache;
   std::uint64_t context_;
-  std::vector<Entry*> entries_;                   ///< first-touch order
+  std::size_t capacity_;
+  std::deque<Entry*> entries_;                    ///< first-touch order
   std::multimap<std::uint64_t, Entry*> index_;    ///< hash -> entry
 };
 

@@ -171,7 +171,7 @@ void EvalEngine::submit(const moga::Problem& problem, std::uint64_t context,
   EvalCache::Stage* stage = nullptr;
   if (staging_) {
     std::lock_guard<std::mutex> lock(stage_mu_);
-    stage = &stages_.try_emplace(context, context).first->second;
+    stage = &stages_.try_emplace(context, context, cache_->capacity()).first->second;
   }
 
   // Dedup on the calling thread, in ascending item order, so the distinct

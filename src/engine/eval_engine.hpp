@@ -212,10 +212,10 @@ class EvalEngine final : public Evaluator {
   ///
   /// While tasks run concurrently the shared cache is frozen: each client
   /// context reads the LRU without refreshing it and stages what it would
-  /// have inserted or refreshed, seeing its own staged entries. When the
-  /// last task has finished, the staged entries enter the LRU in ascending
-  /// context order, so every client's hit counts are a function of the
-  /// submitted work alone, never of timing. Concurrent tasks must
+  /// have inserted or refreshed, seeing its own staged entries (at most the
+  /// cache's capacity of them). When the last task has finished, the staged
+  /// entries enter the LRU in ascending context order, so every client's
+  /// hit counts are a function of the submitted work alone, never of timing. Concurrent tasks must
   /// therefore submit under distinct contexts. The watchdog tracks one
   /// in-flight batch, so tasks that submit batches need an engine without
   /// one (serve::JobScheduler refuses a hub that has one).

@@ -404,6 +404,33 @@ RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
                  "run_impl: shards > 1 must be executed via shard::run_sharded "
                  "(anadex explore --shards), not an in-process Job");
 
+  const bool checkpointing = !settings.checkpoint_path.empty();
+  const robust::CheckpointMeta meta = detail::checkpoint_meta(settings);
+
+  // Reads the checkpoint to resume from before the trace file is created:
+  // jobs whose slices start together in one serve wave then read their
+  // checkpoint directory while no file is being created in it. The restored
+  // state stays alive for the whole run (the algo params keep only a
+  // non-owning pointer into it).
+  robust::Checkpoint resume_cp;
+  std::string resumed_from_path;
+  bool resumed = false;
+  if (settings.resume == ResumeMode::Strict) {
+    resume_cp = robust::read_checkpoint_file(settings.checkpoint_path);
+    resumed_from_path = settings.checkpoint_path;
+    resumed = true;
+  } else if (settings.resume == ResumeMode::Auto) {
+    // Crash recovery: fall back past corrupt/truncated slots to the newest
+    // one that checksum-verifies; with no usable slot, start fresh — so the
+    // same `--resume auto` invocation works on the very first run too.
+    auto recovered = robust::recover_checkpoint(settings.checkpoint_path);
+    if (recovered.has_value()) {
+      resume_cp = std::move(recovered->checkpoint);
+      resumed_from_path = recovered->path;
+      resumed = true;
+    }
+  }
+
   // Telemetry sink for the whole run. Stays null (and costs one pointer
   // test per instrumentation site) unless a trace file was requested.
   std::optional<obs::JsonlTraceWriter> trace;
@@ -439,6 +466,7 @@ RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
   const engine::EvalWatchdog watchdog = guard.watchdog();
 
   RunOutcome outcome;
+  outcome.resumed_from_path = resumed_from_path;
   moga::GenerationCallback callback = make_history_recorder(settings, outcome.history);
   if (settings.on_generation) {
     if (callback) {
@@ -452,28 +480,6 @@ RunOutcome detail::run_impl(const problems::IntegratorProblem& problem,
     }
   }
 
-  const bool checkpointing = !settings.checkpoint_path.empty();
-  const robust::CheckpointMeta meta = detail::checkpoint_meta(settings);
-
-  // Holds the restored algorithm state alive for the whole run (the algo
-  // params keep only a non-owning pointer into it).
-  robust::Checkpoint resume_cp;
-  bool resumed = false;
-  if (settings.resume == ResumeMode::Strict) {
-    resume_cp = robust::read_checkpoint_file(settings.checkpoint_path);
-    outcome.resumed_from_path = settings.checkpoint_path;
-    resumed = true;
-  } else if (settings.resume == ResumeMode::Auto) {
-    // Crash recovery: fall back past corrupt/truncated slots to the newest
-    // one that checksum-verifies; with no usable slot, start fresh — so the
-    // same `--resume auto` invocation works on the very first run too.
-    auto recovered = robust::recover_checkpoint(settings.checkpoint_path);
-    if (recovered.has_value()) {
-      resume_cp = std::move(recovered->checkpoint);
-      outcome.resumed_from_path = recovered->path;
-      resumed = true;
-    }
-  }
   if (resumed) {
     ANADEX_REQUIRE(resume_cp.meta == meta,
                    "checkpoint '" + outcome.resumed_from_path +

@@ -461,7 +461,8 @@ std::optional<RecoveredCheckpoint> recover_checkpoint(const std::string& base_pa
   // The newest slot answers the common resume on its own. Otherwise one
   // directory listing names the older slots that exist, so a fresh run
   // does not pay max_slots failed opens; missing slots (mid-rotation
-  // crashes) are fine, and the present ones are tried newest-first.
+  // crashes) are fine, and the present ones are tried newest-first. When
+  // the directory cannot be listed, every slot name is tried instead.
   if (try_slot(0)) return out;
   namespace fs = std::filesystem;
   const fs::path base(base_path);
@@ -484,6 +485,10 @@ std::optional<RecoveredCheckpoint> recover_checkpoint(const std::string& base_pa
         std::to_string(slot) == digits) {
       present.push_back(slot);
     }
+  }
+  if (ec) {
+    present.clear();
+    for (std::size_t slot = 1; slot < max_slots; ++slot) present.push_back(slot);
   }
   std::sort(present.begin(), present.end());
   for (const std::size_t slot : present) {

@@ -1,5 +1,6 @@
 #include "serve/scheduler.hpp"
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <utility>
@@ -108,8 +109,12 @@ void JobScheduler::record_slice(std::size_t slot, expt::JobState state) {
 }
 
 bool JobScheduler::step() {
-  // The wave: the next runnable jobs of one lap from the cursor, at most
-  // one per hub worker.
+  // The wave: the next runnable jobs of one lap from the cursor, one per
+  // hub worker. Only a full wave of preemptible jobs runs its slices at
+  // once. Otherwise the first job runs alone and its batches fan out over
+  // the whole pool: a narrower wave would leave workers idle, and a job
+  // without a checkpoint runs whole in its one slice, holding the other
+  // workers until it ends.
   const std::size_t width = config_.hub != nullptr ? config_.hub->threads() : 1;
   std::vector<std::size_t> wave;
   for (std::size_t i = 0; i < slots_.size() && wave.size() < width; ++i) {
@@ -117,15 +122,20 @@ bool JobScheduler::step() {
     if (slots_[slot].job.runnable()) wave.push_back(slot);
   }
   if (wave.empty()) return false;
+  const bool full = wave.size() == width &&
+                    std::all_of(wave.begin(), wave.end(), [&](std::size_t slot) {
+                      return slots_[slot].job.preemptible();
+                    });
+  if (!full) wave.resize(1);
 
   std::vector<expt::JobState> states(wave.size());
   const auto run = [&](std::size_t k) {
     states[k] = slots_[wave[k]].job.run_slice(config_.slice_generations);
   };
-  if (wave.size() == 1) {
-    run(0);
-  } else {
+  if (config_.hub != nullptr) {
     config_.hub->run_tasks(wave.size(), run);
+  } else {
+    run(0);
   }
   for (std::size_t k = 0; k < wave.size(); ++k) record_slice(wave[k], states[k]);
   cursor_ = (wave.back() + 1) % slots_.size();

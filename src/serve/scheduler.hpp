@@ -19,19 +19,20 @@
 // capacity, not data). With no hub each job builds private engines, which
 // is how the solo path has always run.
 //
-// Waves: when several jobs are runnable, step() runs the next
-// k = min(runnable, hub threads) of them in round-robin order as one WAVE —
-// their slices run concurrently as tasks on the hub's own pool
+// Waves: when at least as many preemptible jobs are runnable as the hub has
+// threads, step() runs the next hub-threads of them in round-robin order as
+// one WAVE — their slices run concurrently as tasks on the hub's own pool
 // (EvalEngine::run_tasks, the calling thread taking one), each job's
-// batches serially on its thread, so
-// Monte Carlo pools across the whole batch exactly as on one thread. The
-// bookkeeping (ServiceStats, job_slice events) then runs in wave order. A
-// wave is a contiguous stretch of the round-robin lap, so the job_slice
-// sequence is what one-slice-at-a-time scheduling gives. A one-job wave —
-// every wave of a 1-thread hub or a lone job — runs on the calling thread,
-// as the scheduler always has. The scheduler serializes the jobs'
-// on_generation and checkpoint_write_hook callbacks, so callers may keep
-// unsynchronized state in them.
+// batches serially on its thread, so Monte Carlo pools across the whole
+// batch exactly as on one thread. The bookkeeping (ServiceStats, job_slice
+// events) then runs in wave order. A wave is a contiguous stretch of the
+// round-robin lap, so the job_slice sequence is what one-slice-at-a-time
+// scheduling gives. With fewer runnable jobs, or a job without a
+// checkpoint path among the next ones, step() runs one slice on the
+// calling thread and its batches fan out over the whole pool, as the
+// scheduler always has — so a 1-thread hub never forms a wave. The
+// scheduler serializes the jobs' on_generation and checkpoint_write_hook
+// callbacks, so callers may keep unsynchronized state in them.
 //
 // Admit and step from one thread. Service shutdown is the `stop` token:
 // run_all() returns between waves when it is raised, and each job in the
@@ -100,8 +101,9 @@ class JobScheduler {
   /// Records a request that failed parse/admission (stats only).
   void note_rejected() { ++stats_.rejected; }
 
-  /// Runs one wave: a slice of each of the next min(runnable, hub threads)
-  /// runnable jobs in round-robin order (one job without a hub). Returns
+  /// Runs one wave: a slice of each of the next hub-threads runnable jobs in
+  /// round-robin order when they are that many and all preemptible, else a
+  /// slice of the next runnable job alone (always so without a hub). Returns
   /// false when no job is runnable (all terminal, stuck, or none admitted)
   /// — it does NOT consult the stop token; run_all() owns that.
   bool step();

@@ -3,7 +3,8 @@
 // wins, a batch submitted from inside a task runs serially on its worker
 // as one evaluate_lanes() call, concurrent clients get the results of a
 // serial engine, and the frozen-then-staged cache keeps each client's hit
-// counts independent of timing.
+// counts independent of timing while each stage stays within the cache's
+// capacity.
 #include "engine/eval_engine.hpp"
 
 #include <atomic>
@@ -210,6 +211,30 @@ TEST(EvalEngineTasks, StagedEntriesEnterTheCacheWhenTheTasksFinish) {
     EXPECT_EQ(after.lru_hits, 10u) << "client " << c;
   }
   EXPECT_EQ(hub.stats().evaluated, 30u);
+}
+
+TEST(EvalEngineTasks, AStageHoldsAtMostTheCacheCapacity) {
+  // Capacity 10: a client stages 15 new designs in one run_tasks call. Its
+  // stage keeps the last ten touched, so those hit again and the first
+  // five are evaluated anew.
+  const problems::IntegratorProblem problem(problems::chosen_spec());
+  const EvalEngine hub(2, nullptr, 10);
+  const auto all = members_of(problem, 15, 0);
+  std::vector<moga::Individual> first(all.begin(), all.begin() + 5);
+  std::vector<moga::Individual> last(all.begin() + 5, all.end());
+  auto staged = all;
+  EvalStats stats_last;
+  EvalStats stats_first;
+  hub.run_tasks(2, [&](std::size_t t) {
+    if (t == 1) return;
+    hub.evaluate_members_as(problem, 1, staged);
+    hub.evaluate_members_as(problem, 1, last, &stats_last);
+    hub.evaluate_members_as(problem, 1, first, &stats_first);
+  });
+  EXPECT_EQ(stats_last.lru_hits, 10u);
+  EXPECT_EQ(stats_first.lru_hits, 0u);
+  EXPECT_EQ(stats_first.evaluated, 5u);
+  EXPECT_EQ(hub.stats().evaluated, 20u);
 }
 
 }  // namespace

@@ -193,6 +193,34 @@ TEST(CorruptCheckpoint, RecoverReturnsNulloptWhenEverySlotIsBad) {
   EXPECT_FALSE(recover_checkpoint(base).has_value());
 }
 
+TEST(CorruptCheckpoint, RecoverTriesThePresentSlotsNewestFirst) {
+  // No slot 0, a gap, a corrupt slot, then two good ones: the newer good
+  // slot wins and the corrupt one is reported. Names that are not slots
+  // of this chain (a leading zero, a suffix, another base) are never read,
+  // even when they hold a valid checkpoint.
+  const std::string base = testing::TempDir() + "anadex_corrupt_gaps.cp";
+  const std::vector<std::string> slots = {".2", ".5", ".12", ".05", ".5.tmp", "x.1"};
+  for (const std::string& suffix : slots) std::remove((base + suffix).c_str());
+  std::remove(base.c_str());
+  spit(base + ".2", "anadex-checkpoint v2\ngarbage\n");
+  write_checkpoint_file(base + ".5", make_checkpoint(20));
+  write_checkpoint_file(base + ".12", make_checkpoint(10));
+  write_checkpoint_file(base + ".05", make_checkpoint(30));
+  write_checkpoint_file(base + ".5.tmp", make_checkpoint(40));
+  write_checkpoint_file(base + "x.1", make_checkpoint(50));
+
+  const auto recovered = recover_checkpoint(base);
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_EQ(recovered->path, base + ".5");
+  EXPECT_EQ(std::get<moga::Nsga2State>(recovered->checkpoint.state).next_generation, 20u);
+  ASSERT_EQ(recovered->rejected.size(), 1u);
+  EXPECT_NE(recovered->rejected[0].find(base + ".2"), std::string::npos);
+  // Slots at or past max_slots are out of the chain.
+  std::remove((base + ".5").c_str());
+  EXPECT_FALSE(recover_checkpoint(base, 12).has_value());
+  for (const std::string& suffix : slots) std::remove((base + suffix).c_str());
+}
+
 TEST(CorruptCheckpoint, ResumeAutoFallsBackThroughTheRotationChain) {
   // Full-runner version of the fallback: a checkpointed run whose newest
   // slot is then corrupted must auto-resume from the previous rotation and

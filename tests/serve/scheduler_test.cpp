@@ -4,8 +4,9 @@
 // to solo runs of the same settings, at thread counts {1, 8}, for
 // {solo, 2-job, 4-job} interleavings — including a mid-slice stop drill
 // that snapshots every job and resumes them all in a fresh scheduler. The
-// wave matrix runs six jobs of different lengths over hubs of {1, 2, 4, 8}
-// threads, so waves of concurrent slices shrink and wrap around the lap.
+// wave matrix runs seven jobs of different lengths, one without a
+// checkpoint, over hubs of {1, 2, 4, 8} threads, so waves of concurrent
+// slices form, wrap around the lap and give way to single pooled slices.
 #include "serve/scheduler.hpp"
 
 #include <gtest/gtest.h>
@@ -204,11 +205,13 @@ TEST(JobScheduler, MidSliceStopDrillResumesAllJobs) {
 /// Six jobs of six algorithms and different lengths: as the short ones
 /// finish, waves shrink and wrap around the round-robin lap.
 std::vector<expt::RunSettings> wave_jobs() {
-  const expt::Algo algos[] = {expt::Algo::TPG,     expt::Algo::SACGA,
-                              expt::Algo::SPEA2,   expt::Algo::MESACGA,
-                              expt::Algo::LocalOnly, expt::Algo::Island};
-  const std::size_t generations[] = {36, 22, 30, 32, 14, 40};
-  std::vector<expt::RunSettings> jobs(6);
+  // The weighted-sum job has no checkpoint, so it runs whole in one slice.
+  const expt::Algo algos[] = {expt::Algo::TPG,       expt::Algo::SACGA,
+                              expt::Algo::SPEA2,     expt::Algo::MESACGA,
+                              expt::Algo::LocalOnly, expt::Algo::Island,
+                              expt::Algo::WeightedSum};
+  const std::size_t generations[] = {36, 22, 30, 32, 14, 40, 20};
+  std::vector<expt::RunSettings> jobs(7);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     expt::RunSettings& s = jobs[i];
     s.algo = algos[i];
@@ -270,8 +273,9 @@ WaveRun run_wave(const std::vector<expt::RunSettings>& jobs, std::size_t threads
   std::vector<expt::RunSettings> admitted;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     expt::RunSettings settings = jobs[i];
-    settings.checkpoint_path = unique_path(tag + "_" + std::to_string(i));
-    settings.trace_path = settings.checkpoint_path + ".trace.jsonl";
+    const std::string path = unique_path(tag + "_" + std::to_string(i));
+    if (expt::algo_info(settings.algo).checkpoints) settings.checkpoint_path = path;
+    settings.trace_path = path + ".trace.jsonl";
     std::filesystem::remove(settings.trace_path);
     admitted.push_back(settings);
     scheduler.admit("job" + std::to_string(i), std::move(settings));
@@ -291,7 +295,8 @@ WaveRun run_wave(const std::vector<expt::RunSettings>& jobs, std::size_t threads
     result.has_outcome = true;
     result.outcome = job.outcome();
     write_result_file(results, result);
-    run.jobs.push_back(WaveJob{job.outcome(), file_bytes(admitted[i].checkpoint_path),
+    const std::string& checkpoint = admitted[i].checkpoint_path;
+    run.jobs.push_back(WaveJob{job.outcome(), checkpoint.empty() ? "" : file_bytes(checkpoint),
                                file_bytes(admitted[i].trace_path),
                                file_bytes(result_path(results, result.id).string())});
   }
@@ -325,8 +330,66 @@ TEST(JobScheduler, WaveMatrixMatchesSoloAndKeepsTheSliceSequence) {
       EXPECT_EQ(got.result, second.jobs[i].result) << label;
     }
   }
-  // Six jobs, slices of 10 generations: 4+3+3+4+2+4 slices in all.
-  EXPECT_EQ(sequential.size(), 20u);
+  // Seven jobs, slices of 10 generations: 4+3+3+4+2+4+1 slices in all.
+  EXPECT_EQ(sequential.size(), 21u);
+}
+
+/// Counts the hub's batches by where they ran: on one thread, inside a
+/// wave, or fanned out over the whole pool. The hub records under its own
+/// lock, so concurrent batches need nothing more here.
+class BatchLog final : public obs::EventSink {
+ public:
+  bool enabled(obs::TraceLevel) const override { return true; }
+  void record(const obs::Event& event) override {
+    if (event.name != "batch") return;
+    for (const obs::Field& f : event.fields) {
+      if (f.key == "workers") ++(f.u64 == 1 ? serial : pooled);
+    }
+  }
+  std::size_t serial = 0;
+  std::size_t pooled = 0;
+};
+
+TEST(JobScheduler, OnlyAFullWaveOfPreemptibleJobsRunsConcurrently) {
+  using expt::Algo;
+  struct Case {
+    std::vector<Algo> algos;
+    bool waves;
+  };
+  // Four threads: three jobs cannot fill a wave, four can, and a job
+  // without a checkpoint keeps every wave it would join from forming.
+  const Case cases[] = {{{Algo::TPG, Algo::TPG, Algo::TPG}, false},
+                        {{Algo::TPG, Algo::TPG, Algo::TPG, Algo::TPG}, true},
+                        {{Algo::TPG, Algo::TPG, Algo::TPG, Algo::WeightedSum}, false}};
+  for (std::size_t c = 0; c < std::size(cases); ++c) {
+    BatchLog batches;
+    engine::EvalEngine hub(4, &batches);
+    SchedulerConfig config;
+    config.slice_generations = 4;
+    config.hub = &hub;
+    JobScheduler scheduler(config);
+    for (std::size_t i = 0; i < cases[c].algos.size(); ++i) {
+      expt::RunSettings settings;
+      settings.algo = cases[c].algos[i];
+      settings.spec = easy_spec();
+      settings.population = 16;
+      settings.generations = 12;
+      settings.seed = i + 1;
+      settings.checkpoint_every = 4;
+      if (expt::algo_info(settings.algo).checkpoints) {
+        settings.checkpoint_path =
+            unique_path("fullwave" + std::to_string(c) + "_" + std::to_string(i));
+      }
+      scheduler.admit("job" + std::to_string(i), std::move(settings));
+    }
+    EXPECT_TRUE(scheduler.run_all()) << "case " << c;
+    EXPECT_GT(batches.serial + batches.pooled, 0u) << "case " << c;
+    if (cases[c].waves) {
+      EXPECT_EQ(batches.pooled, 0u) << "case " << c;
+    } else {
+      EXPECT_EQ(batches.serial, 0u) << "case " << c;
+    }
+  }
 }
 
 TEST(JobScheduler, RefusesAHubWithAWatchdog) {
